@@ -12,7 +12,7 @@ them against a committed baseline JSON:
 * **throughput** (campaign and qualification evaluations/second) may
   wobble with the runner, but a drop of more than ``--tolerance``
   (default 15 %) fails the gate;
-* **batched PDN solves** must stay bit-identical to serial measurement
+* **batched PDN solves** must stay bit-identical to batches of one
   (``batched_droop_match``, exact) and at least 2x faster through the
   PDN stage (``batched_pdn_speedup``, an absolute floor rather than a
   baseline-relative tolerance);
@@ -63,8 +63,8 @@ EXACT_METRICS = ("max_droop_v", "best_fitness", "evaluations", "resonance_hz",
                  "registry_records", "registry_verify_match",
                  "obs_droop_match", "obs_spans")
 THROUGHPUT_METRICS = ("evals_per_second", "qualify_evals_per_second")
-#: Absolute floors (not baseline-relative): the batched PDN path must beat
-#: serial per-measurement solves by at least this factor, and a fleet
+#: Absolute floors (not baseline-relative): a batch of N must beat N
+#: batches of one through the PDN stage by at least this factor, and a fleet
 #: shard must retain at least this fraction of a standalone campaign's
 #: evaluation throughput (orchestration overhead stays off the hot path).
 FLOOR_METRICS = {"batched_pdn_speedup": 2.0,
@@ -79,14 +79,15 @@ CEILING_METRICS = {"registry_publish_overhead": 0.05,
 class SlowdownBackend:
     """Measurement backend that stretches wall time by a constant factor.
 
-    Sleeps ``(factor - 1) x`` the inner measurement's own duration, so the
-    synthetic regression scales with the real evaluation cost: results are
-    bit-identical, throughput is ``1/factor``.
+    Wraps a platform's pipeline and sleeps ``(factor - 1) x`` each inner
+    measurement call's own duration, so the synthetic regression scales
+    with the real evaluation cost: results are bit-identical, throughput
+    is ``1/factor``.
     """
 
-    def __init__(self, inner, factor: float):
-        self.inner = inner
-        self.chip = inner.chip
+    def __init__(self, pipeline, factor: float):
+        self.inner = self.pipeline = pipeline
+        self.chip = pipeline.chip
         self.factor = factor
 
     def _stretched(self, measure):
@@ -95,36 +96,33 @@ class SlowdownBackend:
         time.sleep((self.factor - 1.0) * (time.perf_counter() - start))
         return result
 
-    def measure_program(self, *args, **kwargs):
-        return self._stretched(
-            lambda: self.inner.measure_program(*args, **kwargs))
+    def measure_programs(self, requests):
+        return self._stretched(lambda: self.inner.measure_programs(requests))
 
     def measure_current(self, *args, **kwargs):
         return self._stretched(
             lambda: self.inner.measure_current(*args, **kwargs))
 
-    def stats(self):
-        return self.inner.stats()
-
 
 def _batched_pdn_benchmark(scenario: dict) -> dict:
-    """Serial vs batched PDN throughput on a canonical probe grid.
+    """Batch-of-one vs batch-of-N PDN throughput on a canonical probe grid.
 
     Measures one resonant probe across a supply sweep plus a set of
     module-phase alignments — the grids the closed loop actually batches —
-    first serially, then through the batch backend (sharing the serial
-    platform's activity stage so only the PDN solves differ).  Returns the
-    wall-clock speedup and whether every droop/sensitivity matched bit for
-    bit.
+    first as N batches of one, then as one batch of N on a second
+    platform that shares the first one's activity stage (so only the PDN
+    solves differ, and none is served from the other's response cache).
+    Returns the wall-clock speedup and whether every droop/sensitivity
+    matched bit for bit.
     """
     import numpy as np
 
-    from repro.core.platform import MeasurementPlatform, SimulatorBackend
+    from repro.core.platform import MeasurementPlatform
     from repro.core.resonance import probe_program
     from repro.experiments.setup import bulldozer_testbed, phenom_testbed
     from repro.isa.opcodes import default_table
+    from repro.pipeline import MeasurementPipeline
     from repro.pipeline.artifacts import MeasureRequest
-    from repro.pipeline.batch import BatchMeasurementBackend
 
     testbed = {"bulldozer": bulldozer_testbed, "phenom": phenom_testbed}
     serial = testbed[scenario["chip"]]()
@@ -145,20 +143,13 @@ def _batched_pdn_benchmark(scenario: dict) -> dict:
     serial.measure_program(program, threads)
 
     start = time.perf_counter()
-    serial_results = [
-        serial.measure_program(
-            program, request.threads,
-            module_phases=(list(request.module_phases)
-                           if request.module_phases is not None else None),
-            supply_v=request.supply_v,
-        )
-        for request in requests
-    ]
+    serial_results = [serial.measure_programs([request])[0]
+                      for request in requests]
     serial_wall = time.perf_counter() - start
 
-    batched = MeasurementPlatform(backend=BatchMeasurementBackend(
-        SimulatorBackend(serial.chip, serial.pdn,
-                         share_stages_with=serial.backend)
+    batched = MeasurementPlatform(backend=MeasurementPipeline(
+        serial.chip, serial.pipeline.pdn_stage.pdn,
+        activity=serial.pipeline.activity,
     ))
     start = time.perf_counter()
     batch_results = batched.measure_programs(requests)
@@ -363,7 +354,7 @@ def collect_metrics(scenario: dict | None = None,
     platform = testbed[scenario["chip"]]()
     if slowdown != 1.0:
         platform = MeasurementPlatform(
-            backend=SlowdownBackend(platform.backend, slowdown))
+            backend=SlowdownBackend(platform.pipeline, slowdown))
     collector = TelemetryCollector()
     config = AuditConfig(
         threads=scenario["threads"],

@@ -5,7 +5,6 @@ Usage (also available as ``python -m repro``)::
     python -m repro sweep --chip bulldozer
     python -m repro audit --threads 4 --mode resonant --asm-out a_res.asm
     python -m repro audit --workers 4 --progress --telemetry-out run.jsonl
-    python -m repro audit --batch-measure --telemetry
     python -m repro audit --generations 40 --checkpoint-dir campaign/
     python -m repro audit --resume campaign/
     python -m repro audit --eval-retries 3 --on-fault penalize
@@ -33,6 +32,11 @@ exhausted, 4 invariant violation (corrupt numerics), 70 internal crash
 (a ``crash_report.json`` is written next to the checkpoint, or in the
 working directory).
 
+Measurement has one path.  In-process runs measure each GA generation,
+qualification grid, and resonance sweep as one batch, so compatible PDN
+solves share one matrix call; ``--workers N`` measures a batch of one per
+genome in each worker.  The results are bit-identical either way.
+
 The package is split by concern: :mod:`repro.cli._common` (shared flags
 and platform builders), one module per command family, and
 :mod:`repro.cli._main` (parser assembly + crash reporting).
@@ -47,7 +51,6 @@ from repro.cli._common import (
     EXIT_FAILURE,
     EXIT_INVARIANT,
     EXIT_OK,
-    _batched,
     _fault_policy,
     _observers,
     _platform,
@@ -105,7 +108,6 @@ __all__ = [
     "cmd_telemetry_compare",
     "cmd_telemetry_export",
     "main",
-    "_batched",
     "_fault_policy",
     "_observers",
     "_platform",

@@ -11,12 +11,10 @@ from repro.errors import CheckpointError
 from repro.isa.encoder import encode_program
 
 from repro.cli._common import (
-    _add_batch_arg,
     _add_campaign_args,
     _add_registry_args,
     _add_supervision_args,
     _add_telemetry_args,
-    _batched,
     _fault_policy,
     _make_supervised_executor,
     _observers,
@@ -59,7 +57,7 @@ def cmd_audit(args) -> int:
             "generations": args.generations,
             "seed": args.seed,
         })
-    platform = _batched(_platform(args.chip, args.throttle), args)
+    platform = _platform(args.chip, args.throttle)
     mode = StressmarkMode(args.mode)
     config = AuditConfig(
         threads=args.threads,
@@ -168,7 +166,6 @@ def register(sub) -> None:
     audit.add_argument("--asm-out", default=None,
                        help="write the winning stressmark as NASM to a file")
     _add_telemetry_args(audit)
-    _add_batch_arg(audit)
     _add_campaign_args(audit)
     _add_supervision_args(audit)
     _add_registry_args(audit)

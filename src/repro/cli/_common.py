@@ -11,7 +11,6 @@ import argparse
 import functools
 
 from repro.core.faults import FaultPolicy
-from repro.core.platform import MeasurementPlatform
 from repro.core.telemetry import (
     ConsoleObserver,
     JsonlObserver,
@@ -30,7 +29,6 @@ from repro.errors import (  # noqa: F401 — canonical home is repro.errors
     ReproError,
 )
 from repro.experiments.setup import bulldozer_testbed, phenom_testbed
-from repro.pipeline.batch import BatchMeasurementBackend
 
 #: Flight recorder for crash reports; reset per ``main`` invocation.
 _flight_recorder = RecentEventsObserver()
@@ -49,24 +47,6 @@ def _platform(chip: str, throttle: int | None = None):
 def _platform_factory(chip: str, throttle: int | None = None):
     """A picklable platform builder for process-pool workers."""
     return functools.partial(_platform, chip, throttle)
-
-
-def _batched(platform, args):
-    """Wrap *platform* for vectorized PDN solves when ``--batch-measure``.
-
-    Batching runs in-process (the whole point is one scipy call over many
-    candidates), so it is mutually exclusive with ``--workers``.
-    """
-    if not getattr(args, "batch_measure", False):
-        return platform
-    if (getattr(args, "workers", None) or 1) > 1:
-        raise ConfigurationError(
-            "--batch-measure batches PDN solves in-process and cannot be "
-            "combined with --workers"
-        )
-    return MeasurementPlatform(
-        backend=BatchMeasurementBackend(platform.backend)
-    )
 
 
 def _observers(args):
@@ -179,14 +159,6 @@ def _make_supervised_executor(args, observers):
         ),
         observers=observers,
     )
-
-
-def _add_batch_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-measure", action="store_true",
-        help="vectorize compatible PDN solves across candidates (one "
-             "matrix solve per generation/grid; results are bit-identical "
-             "to serial measurement; incompatible with --workers)")
 
 
 def _add_campaign_args(parser: argparse.ArgumentParser) -> None:

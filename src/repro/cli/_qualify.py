@@ -14,10 +14,8 @@ from repro.workloads.stressmarks import CANNED_STRESSMARKS
 
 from repro.cli._common import (
     EXIT_OK,
-    _add_batch_arg,
     _add_registry_args,
     _add_telemetry_args,
-    _batched,
     _observers,
     _platform_factory,
     _publish_record,
@@ -28,7 +26,7 @@ def cmd_qualify(args) -> int:
     """Qualify one canned stressmark: perturbation sweep + verdict."""
     from repro.cli import _platform
 
-    platform = _batched(_platform(args.chip), args)
+    platform = _platform(args.chip)
     pool = default_table().supported_on(platform.chip.extensions)
     from repro.workloads.stressmarks import canned_stressmark, stressmark_program
 
@@ -113,6 +111,5 @@ def register(sub) -> None:
     qualify.add_argument("--telemetry", action="store_true",
                          help="print the run-telemetry summary table")
     _add_telemetry_args(qualify)
-    _add_batch_arg(qualify)
     _add_registry_args(qualify)
     qualify.set_defaults(fn=cmd_qualify)

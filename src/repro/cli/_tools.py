@@ -11,9 +11,7 @@ from repro.core.telemetry import TelemetryCollector
 from repro.isa.opcodes import default_table
 
 from repro.cli._common import (
-    _add_batch_arg,
     _add_telemetry_args,
-    _batched,
     _observers,
     _platform_factory,
 )
@@ -46,7 +44,7 @@ def cmd_bench_evals(args) -> int:
     """
     from repro.cli import _platform
 
-    platform = _batched(_platform(args.chip), args)
+    platform = _platform(args.chip)
     observers, jsonl = _observers(args)
     collector = TelemetryCollector()
     observers.append(collector)
@@ -89,7 +87,7 @@ def cmd_netlist(args) -> int:
     measurement = platform.measure_program(program, args.threads)
     load = measurement.current.tile(args.periods)
     deck = export_netlist(
-        platform.pdn, load,
+        platform.pipeline.pdn_stage.pdn, load,
         title=f"A-Res {args.threads}T current profile on {args.chip}",
     )
     with open(args.out, "w") as handle:
@@ -119,7 +117,6 @@ def register_bench(sub) -> None:
     bench.add_argument("--generations", type=int, default=4)
     bench.add_argument("--seed", type=int, default=1)
     _add_telemetry_args(bench)
-    _add_batch_arg(bench)
     bench.set_defaults(fn=cmd_bench_evals)
 
 

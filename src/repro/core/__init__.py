@@ -58,7 +58,6 @@ from repro.core.platform import (
     MeasurementBackend,
     MeasurementPlatform,
     MeasurementStats,
-    SimulatorBackend,
 )
 from repro.core.qualify import (
     ARTIFACT,
@@ -146,7 +145,6 @@ __all__ = [
     "RunObserver",
     "SensitivePathCost",
     "SerialExecutor",
-    "SimulatorBackend",
     "StressmarkFitness",
     "StressmarkGenome",
     "StressmarkMode",

@@ -238,21 +238,16 @@ class StressmarkFitness(Generic[G]):
 
     def stats_probe(self):
         """Current platform counters (for worker-side stats deltas)."""
-        platform = self._resolve_platform()
-        stats_fn = getattr(platform, "stats", None)
-        return stats_fn() if stats_fn is not None else None
+        return self._resolve_platform().stats()
 
-    def evaluate_batch(self, genomes: Sequence[G]) -> list[EvalOutcome] | None:
-        """Score a batch through the platform's vectorized measure path.
+    def evaluate_batch(self, genomes: Sequence[G]) -> list[EvalOutcome]:
+        """Score a batch as one platform measurement batch.
 
-        Returns ``None`` when the platform has no batch support, so the
-        engine falls back to the per-genome executor map.  Results are
-        bit-identical to serial calls (the batch backend guarantees it);
-        per-genome wall time is the batch wall split evenly.
+        Results are bit-identical to per-genome calls (the pipeline
+        guarantees it); per-genome wall time is the batch wall split
+        evenly.
         """
         platform = self._resolve_platform()
-        if not getattr(platform, "supports_batch_measure", False):
-            return None
         start = time.perf_counter()
         requests = [
             MeasureRequest(
@@ -442,21 +437,26 @@ class EvaluationEngine(Generic[G]):
     def _evaluate_fresh(self, fresh: Sequence[G]) -> list:
         """Dispatch the deduplicated batch and resolve supervisor faults.
 
+        In-process without a fault policy, a fitness with
+        ``evaluate_batch`` measures the whole batch as one platform call
+        (batched PDN solves).  Otherwise the executor maps the fitness
+        per genome, so each worker or retried attempt measures a batch
+        of one; the values are bit-identical either way.
+
         Under an active tracer and a parallel executor the task callable
         is wrapped in :class:`~repro.obs.spans.TracedTask`, so each
         worker records its own ``worker.eval`` (+ pipeline) spans and
         ships them back on the outcome; they are re-emitted here, in the
         parent, into the ordinary observer chain.
         """
-        outcomes = None
+        batch_eval = getattr(self.fitness, "evaluate_batch", None)
         if (
-            self.fault_policy is None
+            batch_eval is not None
+            and self.fault_policy is None
             and getattr(self.executor, "workers", 1) <= 1
         ):
-            batch_eval = getattr(self.fitness, "evaluate_batch", None)
-            if batch_eval is not None:
-                outcomes = batch_eval(fresh)
-        if outcomes is None:
+            outcomes = batch_eval(fresh)
+        else:
             if self.fault_policy is None:
                 task = _TimedFitness(self.fitness)
             else:

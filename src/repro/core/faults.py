@@ -170,6 +170,58 @@ class EvalOutcome:
         return self.value is None
 
 
+def retry(attempt, policy: FaultPolicy, *, value_of=float,
+          watchdog: bool = False, on_fault=None):
+    """Call ``attempt()`` until it succeeds or *policy* runs out of retries.
+
+    The one retry loop of the fault layer.  An attempt fails when it
+    raises, when ``value_of(result)`` is not finite (a corrupt capture),
+    or — with *watchdog* — when it outlasts ``policy.eval_timeout_s``.
+    Each failure is recorded as a :class:`FaultRecord` and handed to
+    ``on_fault(error, attempt_number, final)``; backoff sleeps between
+    attempts.  Returns ``(result, attempts, faults, last_error)``, where
+    *result* is ``None`` and *last_error* set once every attempt failed.
+    """
+    faults: list[FaultRecord] = []
+    attempts = policy.max_retries + 1
+    for number in range(1, attempts + 1):
+        start = time.perf_counter()
+        try:
+            result = attempt()
+            value = value_of(result)
+            if not math.isfinite(value):
+                raise CorruptMeasurementError(
+                    f"measurement produced non-finite value {value!r}"
+                )
+            wall = time.perf_counter() - start
+            if (watchdog and policy.eval_timeout_s is not None
+                    and wall > policy.eval_timeout_s):
+                raise EvaluationTimeoutError(
+                    f"evaluation took {wall:.3f}s "
+                    f"(watchdog budget {policy.eval_timeout_s}s)"
+                )
+            return result, number, tuple(faults), None
+        except Exception as error:
+            faults.append(fault_record_from(error))
+            final = number == attempts
+            if on_fault is not None:
+                on_fault(error, number, final)
+            if final:
+                return None, attempts, tuple(faults), error
+            if policy.backoff_s > 0:
+                time.sleep(
+                    policy.backoff_s * policy.backoff_factor ** (number - 1)
+                )
+    raise AssertionError("unreachable")
+
+
+def _exhausted(label: str, attempts: int, error: Exception):
+    return QuarantineExhaustedError(
+        f"{label} failed on all {attempts} attempts; "
+        f"last error: {type(error).__name__}: {error}"
+    )
+
+
 class GuardedFitness:
     """Retry-with-backoff wrapper turning faults into :class:`EvalOutcome`.
 
@@ -186,52 +238,19 @@ class GuardedFitness:
         self.policy = policy
 
     def __call__(self, genome) -> EvalOutcome:
-        policy = self.policy
-        faults: list[FaultRecord] = []
         probe = getattr(self.fitness, "stats_probe", None)
         stats_before = probe() if probe is not None else None
         start = time.perf_counter()
-        attempts = policy.max_retries + 1
-        for attempt in range(attempts):
-            attempt_start = time.perf_counter()
-            try:
-                value = float(self.fitness(genome))
-                if not math.isfinite(value):
-                    raise CorruptMeasurementError(
-                        f"measurement produced non-finite fitness {value!r}"
-                    )
-                wall = time.perf_counter() - attempt_start
-                if (policy.eval_timeout_s is not None
-                        and wall > policy.eval_timeout_s):
-                    raise EvaluationTimeoutError(
-                        f"evaluation took {wall:.3f}s "
-                        f"(watchdog budget {policy.eval_timeout_s}s)"
-                    )
-                return EvalOutcome(
-                    value=value,
-                    wall_s=time.perf_counter() - start,
-                    attempts=attempt + 1,
-                    faults=tuple(faults),
-                    stats=self._stats_delta(probe, stats_before),
-                )
-            except Exception as error:
-                faults.append(fault_record_from(error))
-                if attempt + 1 >= attempts:
-                    if policy.on_exhaust == "raise":
-                        raise QuarantineExhaustedError(
-                            f"evaluation failed on all {attempts} attempts; "
-                            f"last error: {type(error).__name__}: {error}"
-                        ) from error
-                    break
-                if policy.backoff_s > 0:
-                    time.sleep(
-                        policy.backoff_s * policy.backoff_factor ** attempt
-                    )
+        value, attempts, faults, error = retry(
+            lambda: float(self.fitness(genome)), self.policy, watchdog=True,
+        )
+        if error is not None and self.policy.on_exhaust == "raise":
+            raise _exhausted("evaluation", attempts, error) from error
         return EvalOutcome(
-            value=None,
+            value=value,
             wall_s=time.perf_counter() - start,
             attempts=attempts,
-            faults=tuple(faults),
+            faults=faults,
             stats=self._stats_delta(probe, stats_before),
         )
 
@@ -255,7 +274,9 @@ class RetryingMeasurements:
     finite, like the guard does) and raises
     :class:`QuarantineExhaustedError` once attempts are exhausted: a sweep
     probe has no genome to quarantine, and with per-measurement retries an
-    exhausted probe means the backend is down, not flaky.  Everything else
+    exhausted probe means the backend is down, not flaky.  A batch is
+    measured and retried one request at a time, so the backend sees the
+    same call sequence as single measurements.  Everything else
     (``chip``, ``stats`` …) passes through.
     """
 
@@ -279,54 +300,38 @@ class RetryingMeasurements:
             lambda: self._platform.measure_current(*args, **kwargs)
         )
 
-    def measure_programs(self, *args, **kwargs):
-        return self._retry(
-            lambda: self._platform.measure_programs(*args, **kwargs),
-            batch=True,
-        )
+    def measure_programs(self, requests):
+        return [
+            self._retry(lambda r=request: self._platform.measure_programs([r])[0])
+            for request in requests
+        ]
 
-    def _retry(self, measure, *, batch: bool = False):
+    def _retry(self, measure):
         from repro.core.telemetry import FaultEvent, InvariantEvent, notify
 
-        policy = self._policy
-        attempts = policy.max_retries + 1
-        for attempt in range(attempts):
-            try:
-                measurement = measure()
-                results = measurement if batch else (measurement,)
-                for result in results:
-                    droop = result.max_droop_v
-                    if not math.isfinite(droop):
-                        raise CorruptMeasurementError(
-                            f"measurement produced non-finite droop {droop!r}"
-                        )
-                return measurement
-            except Exception as error:
-                final = attempt + 1 >= attempts
-                if isinstance(error, InvariantViolation):
-                    notify(self._observers, InvariantEvent(
-                        guard=error.guard,
-                        layer=error.layer,
-                        error=str(error),
-                        genome=self._label,
-                    ))
-                notify(self._observers, FaultEvent(
+        def on_fault(error, attempt, final):
+            if isinstance(error, InvariantViolation):
+                notify(self._observers, InvariantEvent(
+                    guard=error.guard,
+                    layer=error.layer,
+                    error=str(error),
                     genome=self._label,
-                    error=f"{type(error).__name__}: {error}",
-                    attempt=attempt + 1,
-                    action="quarantine" if final else "retry",
-                    timeout=isinstance(error, EvaluationTimeoutError),
                 ))
-                if final:
-                    raise QuarantineExhaustedError(
-                        f"{self._label} failed on all {attempts} attempts; "
-                        f"last error: {type(error).__name__}: {error}"
-                    ) from error
-                if policy.backoff_s > 0:
-                    time.sleep(
-                        policy.backoff_s * policy.backoff_factor ** attempt
-                    )
-        raise AssertionError("unreachable")
+            notify(self._observers, FaultEvent(
+                genome=self._label,
+                error=f"{type(error).__name__}: {error}",
+                attempt=attempt,
+                action="quarantine" if final else "retry",
+                timeout=isinstance(error, EvaluationTimeoutError),
+            ))
+
+        measurement, attempts, _faults, error = retry(
+            measure, self._policy,
+            value_of=lambda m: m.max_droop_v, on_fault=on_fault,
+        )
+        if error is not None:
+            raise _exhausted(self._label, attempts, error) from error
+        return measurement
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +405,7 @@ class FaultInjectingBackend:
     """Deterministic chaos wrapper around any measurement backend.
 
     Fault decisions come from a private seeded RNG drawn once per
-    measurement call, so a given seed produces the same fault schedule
+    measured request, so a given seed produces the same fault schedule
     every run — chaos tests stay reproducible.  Non-faulted calls pass
     through untouched, which is what lets the chaos tests assert that
     fitness values of non-faulted genomes are bit-identical to a clean run.
@@ -497,54 +502,59 @@ class FaultInjectingBackend:
             iteration_cycles=measurement.iteration_cycles,
         )
 
-    def _apply(self, fault: str | None, measure):
+    def _raise_injected(self, fault: str | None, call: int) -> None:
         if fault == "exception":
             raise InjectedFaultError(
-                f"injected backend exception (call {self.counts.calls})"
+                f"injected backend exception (call {call})"
             )
         if fault == "hang":
             if self.config.hang_s:
                 time.sleep(self.config.hang_s)
             raise InjectedHangError(
-                f"injected backend hang, watchdog fired "
-                f"(call {self.counts.calls})"
+                f"injected backend hang, watchdog fired (call {call})"
             )
-        measurement = measure()
-        if fault == "corrupt":
-            return self._corrupt(measurement)
-        return measurement
 
     # ------------------------------------------------------------------
     # MeasurementBackend protocol
     # ------------------------------------------------------------------
-    def measure_program(self, program, threads, *, module_phases=None,
-                        supply_v=None, smt_phase_cycles=None):
-        hard = self._hard_fault(program)
-        if hard is not None:
-            self.counts.calls += 1
-            self._apply_hard(hard)
-        fault = self._draw_fault()
-        return self._apply(fault, lambda: self.inner.measure_program(
-            program, threads,
-            module_phases=module_phases,
-            supply_v=supply_v,
-            smt_phase_cycles=smt_phase_cycles,
-        ))
+    @property
+    def pipeline(self):
+        from repro.core.platform import pipeline_of
+
+        return pipeline_of(self.inner)
+
+    def measure_programs(self, requests):
+        """One fault draw per request, in request order.
+
+        Every draw happens before anything is measured, so a batch
+        consumes the RNG exactly like the same requests measured one
+        call at a time.  The first injected exception or hang fails the
+        whole batch; corruption mangles only its own request's result.
+        """
+        requests = list(requests)
+        drawn = []
+        for request in requests:
+            hard = self._hard_fault(request.program)
+            if hard is not None:
+                self.counts.calls += 1
+                self._apply_hard(hard)
+            drawn.append((self._draw_fault(), self.counts.calls))
+        for fault, call in drawn:
+            self._raise_injected(fault, call)
+        measurements = self.inner.measure_programs(requests)
+        return [
+            self._corrupt(measurement) if fault == "corrupt" else measurement
+            for measurement, (fault, _call) in zip(measurements, drawn)
+        ]
 
     def measure_current(self, current, *, sensitivity=None, supply_v=None,
                         baseline_current_a=None):
         fault = self._draw_fault()
-        return self._apply(fault, lambda: self.inner.measure_current(
+        self._raise_injected(fault, self.counts.calls)
+        measurement = self.inner.measure_current(
             current,
             sensitivity=sensitivity,
             supply_v=supply_v,
             baseline_current_a=baseline_current_a,
-        ))
-
-    def stats(self):
-        stats_fn = getattr(self.inner, "stats", None)
-        if stats_fn is None:
-            from repro.core.platform import MeasurementStats
-
-            return MeasurementStats(measurements=self.counts.calls)
-        return stats_fn()
+        )
+        return self._corrupt(measurement) if fault == "corrupt" else measurement

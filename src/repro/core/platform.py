@@ -13,11 +13,11 @@ The measurement itself runs as the staged pipeline in
 :mod:`repro.pipeline`: compile (thread placement) → activity (module
 simulation + periodicity verification) → pdn (steady-state/transient
 solve) → analyze (droop/sensitivity assembly), with per-stage caches
-keyed by artifact content hashes and per-stage timing telemetry.
-:class:`SimulatorBackend` remains the compatibility facade over that
-pipeline — its public surface (``chip_sim``, ``solver_at``, ``stats`` …)
-is unchanged, so existing tests, checkpoints, and experiment harnesses
-keep working.
+keyed by artifact content hashes and per-stage timing telemetry.  That
+pipeline is the default backend, and it has one entry point: a batch of
+requests in, one measurement per request out.  A single measurement is
+a batch of one.  Simulator internals (``chip_sim``, ``solver_at``,
+``pdn``) live on :attr:`MeasurementPlatform.pipeline`.
 
 Measurement strategy
 --------------------
@@ -50,7 +50,6 @@ from repro.pipeline.stages import (
     DEFAULT_WARMUP_ITERATIONS,
     FALLBACK_TILE_CYCLES,
     IDLE_PAD_CYCLES,
-    PdnStage,
 )
 from repro.power.trace import CurrentTrace
 from repro.uarch.config import ChipConfig
@@ -65,7 +64,7 @@ __all__ = [
     "MeasurementBackend",
     "MeasurementPlatform",
     "MeasurementStats",
-    "SimulatorBackend",
+    "pipeline_of",
 ]
 
 
@@ -130,24 +129,20 @@ class MeasurementStats:
 class MeasurementBackend(Protocol):
     """The swap-in-real-silicon seam of paper Fig. 5.
 
-    A backend knows *how* to turn a program into a voltage measurement —
-    cycle-level simulation here, a board plus oscilloscope on the paper's
-    testbed.  It must describe the machine it measures (``chip``) so the
-    layers above can size genomes, place threads, and filter opcodes, but
-    nothing above the platform may assume a simulator is underneath.
+    A backend knows *how* to turn programs into voltage measurements —
+    the staged :class:`~repro.pipeline.pipeline.MeasurementPipeline` here,
+    a board plus oscilloscope on the paper's testbed.  It must describe
+    the machine it measures (``chip``) so the layers above can size
+    genomes, place threads, and filter opcodes, but nothing above the
+    platform may assume a simulator is underneath.  ``measure_programs``
+    returns one measurement per :class:`MeasureRequest`, in request order.
+    A wrapper backend exposes the pipeline it wraps as ``pipeline``
+    (``None`` if it wraps none).
     """
 
     chip: ChipConfig
 
-    def measure_program(
-        self,
-        program: ThreadProgram,
-        threads: int,
-        *,
-        module_phases: list[int] | None = None,
-        supply_v: float | None = None,
-        smt_phase_cycles: int | None = None,
-    ) -> Measurement: ...
+    def measure_programs(self, requests) -> list[Measurement]: ...
 
     def measure_current(
         self,
@@ -159,175 +154,47 @@ class MeasurementBackend(Protocol):
     ) -> Measurement: ...
 
 
-class SimulatorBackend:
-    """The software testbed: chip model + PDN solver (the default backend).
+def pipeline_of(backend) -> MeasurementPipeline | None:
+    """The pipeline *backend* measures on: the backend itself, or the
+    ``pipeline`` a wrapper backend exposes (``None`` for foreign ones)."""
+    if isinstance(backend, MeasurementPipeline):
+        return backend
+    return getattr(backend, "pipeline", None)
 
-    A thin facade over :class:`~repro.pipeline.pipeline.MeasurementPipeline`.
-    Pass ``share_stages_with=`` another simulator backend to reuse its
-    activity stage (chip simulator + profile cache) and counter ledger —
-    the qualifier's perturbed-PDN platforms do this so chip-simulation
-    work is performed and counted exactly once.
-    """
 
-    JITTER_REPETITIONS = PdnStage.JITTER_REPETITIONS
-    JITTER_STEP_CYCLES = PdnStage.JITTER_STEP_CYCLES
-
-    def __init__(
-        self,
-        chip: ChipConfig,
-        pdn: PdnParameters,
-        *,
-        warmup_iterations: int = DEFAULT_WARMUP_ITERATIONS,
-        jitter_seed: int = DEFAULT_JITTER_SEED,
-        jitter_step_cycles: int | None = None,
-        share_stages_with: "SimulatorBackend | None" = None,
-    ):
-        activity = counters = None
-        if share_stages_with is not None:
-            activity = share_stages_with.pipeline.activity
-            counters = share_stages_with.pipeline.counters
-        self.chip = chip
-        self.pipeline = MeasurementPipeline(
-            chip, pdn,
-            warmup_iterations=warmup_iterations,
-            jitter_seed=jitter_seed,
-            jitter_step_cycles=jitter_step_cycles,
-            activity=activity,
-            counters=counters,
-        )
-
-    # ------------------------------------------------------------------
-    # Simulator surface (stable across the pipeline refactor)
-    # ------------------------------------------------------------------
-    @property
-    def pdn(self) -> PdnParameters:
-        return self.pipeline.pdn_stage.pdn
-
-    @property
-    def warmup_iterations(self) -> int:
-        return self.pipeline.activity.warmup_iterations
-
-    @property
-    def jitter_seed(self) -> int:
-        return self.pipeline.pdn_stage.jitter_seed
-
-    @property
-    def jitter_step_cycles(self) -> int:
-        return self.pipeline.pdn_stage.jitter_step_cycles
-
-    @property
-    def chip_sim(self):
-        return self.pipeline.activity.chip_sim
-
-    @chip_sim.setter
-    def chip_sim(self, value) -> None:
-        self.pipeline.activity.chip_sim = value
-
-    def solver_at(self, supply_v: float):
-        return self.pipeline.pdn_stage.solver_at(supply_v)
-
-    def _current_from_energy(self, energy_pj, *, active_threads, supply_v):
-        return self.pipeline.pdn_stage.current_from_energy(
-            energy_pj, active_threads=active_threads, supply_v=supply_v
-        )
-
-    def _idle_module_current(self) -> float:
-        return self.pipeline.pdn_stage.idle_module_current()
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def stats(self) -> MeasurementStats:
-        sim = self.chip_sim
-        c = self.pipeline.counters
-        return MeasurementStats(
-            measurements=c.measurements,
-            module_runs=sim.module_runs,
-            module_cache_hits=sim.module_cache_hits,
-            sim_time_s=sim.sim_time_s,
-            pdn_time_s=c.pdn_time_s,
-            periodic_measurements=c.path_counts["periodic"],
-            jittered_measurements=c.path_counts["jittered"],
-            transient_measurements=c.path_counts["transient"],
-            profile_cache_hits=c.profile_cache_hits,
-            pdn_cache_hits=c.pdn_cache_hits,
-            batched_solves=c.batched_solves,
-            batched_rows=c.batched_rows,
-            stage_compile_s=c.stage_wall_s.get("compile", 0.0),
-            stage_activity_s=c.stage_wall_s.get("activity", 0.0),
-            stage_pdn_s=c.stage_wall_s.get("pdn", 0.0),
-            stage_analyze_s=c.stage_wall_s.get("analyze", 0.0),
-        )
-
-    # ------------------------------------------------------------------
-    # Measurement
-    # ------------------------------------------------------------------
-    def measure_program(
-        self,
-        program: ThreadProgram,
-        threads: int,
-        *,
-        module_phases: list[int] | None = None,
-        supply_v: float | None = None,
-        smt_phase_cycles: int | None = None,
-    ) -> Measurement:
-        """Measure a homogeneous *threads*-way run of *program*.
-
-        Threads are placed by the paper's spread-first policy.
-        ``module_phases`` circularly shifts each module's periodic activity
-        (the dithering alignment vector; default all-aligned, which is the
-        dithering algorithm's guaranteed worst case for identical modules).
-        ``supply_v`` re-measures at a reduced supply for failure sweeps.
-
-        When a module runs **two** SMT threads, the second starts
-        ``smt_phase_cycles`` after the first (default: half the thread's
-        solo loop period).  Dithering aligns *modules*, not SMT siblings —
-        the paper's 8T runs show exactly this: shared-FPU interference
-        "shifts the loop lengths, making it difficult to align the first
-        droop excitation across the threads" (Section V.A.2).  Pass 0 to
-        force lockstep siblings.
-        """
-        return self.pipeline.measure(MeasureRequest(
-            program=program,
-            threads=threads,
-            module_phases=(
-                tuple(module_phases) if module_phases is not None else None
-            ),
-            supply_v=supply_v,
-            smt_phase_cycles=smt_phase_cycles,
-        ))
-
-    def measure_current(
-        self,
-        current: CurrentTrace,
-        *,
-        sensitivity: np.ndarray | None = None,
-        supply_v: float | None = None,
-        baseline_current_a: float | None = None,
-    ) -> Measurement:
-        """Measure an externally generated chip-current waveform.
-
-        Used by the synthetic benchmark models, whose activity is produced
-        statistically rather than by the pipeline scheduler.
-        """
-        return self.pipeline.measure_current(
-            current,
-            sensitivity=sensitivity,
-            supply_v=supply_v,
-            baseline_current_a=baseline_current_a,
-        )
+def _pipeline_stats(pipeline: MeasurementPipeline) -> MeasurementStats:
+    sim = pipeline.activity.chip_sim
+    c = pipeline.counters
+    return MeasurementStats(
+        measurements=c.measurements,
+        module_runs=sim.module_runs,
+        module_cache_hits=sim.module_cache_hits,
+        sim_time_s=sim.sim_time_s,
+        pdn_time_s=c.pdn_time_s,
+        periodic_measurements=c.path_counts["periodic"],
+        jittered_measurements=c.path_counts["jittered"],
+        transient_measurements=c.path_counts["transient"],
+        profile_cache_hits=c.profile_cache_hits,
+        pdn_cache_hits=c.pdn_cache_hits,
+        batched_solves=c.batched_solves,
+        batched_rows=c.batched_rows,
+        stage_compile_s=c.stage_wall_s.get("compile", 0.0),
+        stage_activity_s=c.stage_wall_s.get("activity", 0.0),
+        stage_pdn_s=c.stage_wall_s.get("pdn", 0.0),
+        stage_analyze_s=c.stage_wall_s.get("analyze", 0.0),
+    )
 
 
 class MeasurementPlatform:
     """Closed-loop measurement of programs on a pluggable backend.
 
     The two-argument form ``MeasurementPlatform(chip, pdn)`` builds the
-    default :class:`SimulatorBackend` (the software testbed).  Passing
-    ``backend=`` instead plugs in any :class:`MeasurementBackend` — the
-    paper's real-silicon path.  The facade validates arguments and keeps
-    the run-telemetry counters; simulator internals (``chip_sim``,
-    ``solver_at``, ``pdn``) remain reachable for the experiment harnesses
-    that introspect the software testbed.
+    default backend, a :class:`MeasurementPipeline` (the software
+    testbed).  Passing ``backend=`` instead plugs in any
+    :class:`MeasurementBackend` — the paper's real-silicon path.  The
+    facade validates arguments, guards every measurement's invariants,
+    and keeps the run-telemetry counters.  ``pipeline`` is the simulator
+    the backend measures on, or ``None`` for a foreign backend.
     """
 
     def __init__(
@@ -345,7 +212,7 @@ class MeasurementPlatform:
                 raise ConfigurationError(
                     "MeasurementPlatform needs either (chip, pdn) or backend="
                 )
-            backend = SimulatorBackend(
+            backend = MeasurementPipeline(
                 chip, pdn,
                 warmup_iterations=warmup_iterations,
                 jitter_seed=jitter_seed,
@@ -356,72 +223,24 @@ class MeasurementPlatform:
                 "pass either (chip, pdn) or backend=, not both"
             )
         self.backend = backend
+        self.pipeline = pipeline_of(backend)
         self._worker_stats: MeasurementStats | None = None
 
-    # ------------------------------------------------------------------
-    # Machine description + simulator internals (when present)
-    # ------------------------------------------------------------------
     @property
     def chip(self) -> ChipConfig:
         return self.backend.chip
-
-    def _simulator_attr(self, name: str):
-        # Walk wrapper backends (fault injection, instrumentation shims):
-        # anything exposing ``inner`` delegates what it does not override,
-        # so the experiment harnesses keep working on a wrapped simulator.
-        backend = self.backend
-        while backend is not None:
-            try:
-                return getattr(backend, name)
-            except AttributeError:
-                backend = getattr(backend, "inner", None)
-        raise ConfigurationError(
-            f"{name!r} requires the simulator backend; "
-            f"{type(self.backend).__name__} does not provide it"
-        )
-
-    @property
-    def pdn(self):
-        return self._simulator_attr("pdn")
-
-    @property
-    def chip_sim(self):
-        return self._simulator_attr("chip_sim")
-
-    @property
-    def pipeline(self) -> MeasurementPipeline:
-        return self._simulator_attr("pipeline")
-
-    @property
-    def warmup_iterations(self) -> int:
-        return self._simulator_attr("warmup_iterations")
-
-    @property
-    def jitter_seed(self) -> int:
-        return self._simulator_attr("jitter_seed")
-
-    def solver_at(self, supply_v: float):
-        return self._simulator_attr("solver_at")(supply_v)
-
-    def _current_from_energy(self, energy_pj, *, active_threads, supply_v):
-        return self._simulator_attr("_current_from_energy")(
-            energy_pj, active_threads=active_threads, supply_v=supply_v
-        )
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
     def stats(self) -> MeasurementStats:
-        stats_fn = getattr(self.backend, "stats", None)
-        if stats_fn is None:
-            stats = MeasurementStats(measurements=self._fallback_measurements)
+        if self.pipeline is None:
+            stats = MeasurementStats()
         else:
-            stats = stats_fn()
+            stats = _pipeline_stats(self.pipeline)
         if self._worker_stats is not None:
             stats = stats.merge(self._worker_stats)
         return stats
-
-    _fallback_measurements = 0
 
     def absorb_worker_stats(self, delta: MeasurementStats) -> None:
         """Bank a stats delta measured on a worker-process platform.
@@ -440,19 +259,12 @@ class MeasurementPlatform:
     def attach_observers(self, observers) -> None:
         """Route pipeline stage telemetry to *observers* (no-op for
         backends without a pipeline)."""
-        try:
-            pipeline = self._simulator_attr("pipeline")
-        except ConfigurationError:
-            return
-        pipeline.observers = tuple(observers)
+        if self.pipeline is not None:
+            self.pipeline.observers = tuple(observers)
 
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-    @property
-    def supports_batch_measure(self) -> bool:
-        return getattr(self.backend, "measure_programs", None) is not None
-
     def _validate_program_args(self, threads: int, supply_v: float | None):
         chip = self.backend.chip
         if threads < 1:
@@ -477,53 +289,44 @@ class MeasurementPlatform:
     ) -> Measurement:
         """Measure a homogeneous *threads*-way run of *program*.
 
-        See :meth:`SimulatorBackend.measure_program` for parameter
-        semantics; validation happens here so every backend gets the same
-        contract.
+        Threads are placed by the paper's spread-first policy.
+        ``module_phases`` circularly shifts each module's periodic activity
+        (the dithering alignment vector; default all-aligned, which is the
+        dithering algorithm's guaranteed worst case for identical modules).
+        ``supply_v`` re-measures at a reduced supply for failure sweeps.
+
+        When a module runs **two** SMT threads, the second starts
+        ``smt_phase_cycles`` after the first (default: half the thread's
+        solo loop period).  Dithering aligns *modules*, not SMT siblings —
+        the paper's 8T runs show exactly this: shared-FPU interference
+        "shifts the loop lengths, making it difficult to align the first
+        droop excitation across the threads" (Section V.A.2).  Pass 0 to
+        force lockstep siblings.
+
+        This is :meth:`measure_programs` on a batch of one.
         """
-        self._validate_program_args(threads, supply_v)
-        if not hasattr(self.backend, "stats"):
-            self._fallback_measurements += 1
-        measurement = self.backend.measure_program(
-            program,
-            threads,
-            module_phases=module_phases,
+        return self.measure_programs([MeasureRequest(
+            program=program,
+            threads=threads,
+            module_phases=(
+                tuple(module_phases) if module_phases is not None else None
+            ),
             supply_v=supply_v,
             smt_phase_cycles=smt_phase_cycles,
-        )
-        check_measurement(measurement)
-        return measurement
+        )])[0]
 
     def measure_programs(self, requests) -> list[Measurement]:
-        """Measure a batch of :class:`MeasureRequest`\\ s.
+        """Measure a batch of :class:`MeasureRequest`\\ s, in request order.
 
-        Dispatches to the backend's vectorized ``measure_programs`` when
-        it has one (see :class:`repro.pipeline.batch.BatchMeasurementBackend`),
-        else falls back to a serial loop — either way the results match
-        per-request :meth:`measure_program` calls bit for bit.
+        Validation and the invariant guards run here, so every backend
+        gets the same contract.  On the pipeline, compatible PDN solves
+        share one matrix call; the results match per-request
+        :meth:`measure_program` calls bit for bit.
         """
         requests = list(requests)
         for request in requests:
             self._validate_program_args(request.threads, request.supply_v)
-        batch_fn = getattr(self.backend, "measure_programs", None)
-        if batch_fn is not None:
-            measurements = batch_fn(requests)
-        else:
-            if not hasattr(self.backend, "stats"):
-                self._fallback_measurements += len(requests)
-            measurements = [
-                self.backend.measure_program(
-                    request.program,
-                    request.threads,
-                    module_phases=(
-                        list(request.module_phases)
-                        if request.module_phases is not None else None
-                    ),
-                    supply_v=request.supply_v,
-                    smt_phase_cycles=request.smt_phase_cycles,
-                )
-                for request in requests
-            ]
+        measurements = self.backend.measure_programs(requests)
         for measurement in measurements:
             check_measurement(measurement)
         return measurements
@@ -536,11 +339,13 @@ class MeasurementPlatform:
         supply_v: float | None = None,
         baseline_current_a: float | None = None,
     ) -> Measurement:
-        """Measure an externally generated chip-current waveform."""
+        """Measure an externally generated chip-current waveform.
+
+        Used by the synthetic benchmark models, whose activity is produced
+        statistically rather than by the pipeline scheduler.
+        """
         if supply_v is not None and supply_v <= 0:
             raise ConfigurationError("supply voltage must be positive")
-        if not hasattr(self.backend, "stats"):
-            self._fallback_measurements += 1
         measurement = self.backend.measure_current(
             current,
             sensitivity=sensitivity,

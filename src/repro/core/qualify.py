@@ -50,7 +50,7 @@ from repro.core.engine import (
     _as_platform,
 )
 from repro.core.faults import EvalOutcome, FaultPolicy
-from repro.core.platform import MeasurementPlatform, SimulatorBackend
+from repro.core.platform import MeasurementPlatform
 from repro.core.telemetry import (
     MeasurementStatsEvent,
     QualificationEvent,
@@ -61,7 +61,7 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.isa.kernels import ThreadProgram
 from repro.obs.spans import span
 from repro.pipeline.artifacts import MeasureRequest
-from repro.pipeline.batch import BatchMeasurementBackend
+from repro.pipeline.pipeline import MeasurementPipeline
 
 #: Verdicts, strongest first.
 PASS = "PASS"
@@ -186,10 +186,10 @@ class QualificationFitness:
     The same picklable-callable contract as
     :class:`~repro.core.engine.StressmarkFitness`: in-process calls use
     the live platform, workers rebuild one from ``platform_factory``.
-    Supply and SMT knobs are plain ``measure_program`` arguments; jitter
-    and PDN knobs need a rebuilt backend, which is cached per physical
-    configuration and **shares the base chip simulator** — a PDN
-    tolerance sweep re-solves only the network, never the pipeline.
+    Supply and SMT knobs are plain request fields; jitter
+    and PDN knobs need a rebuilt pipeline, which is cached per physical
+    configuration and **shares the base activity stage** — a PDN
+    tolerance sweep re-solves only the network, never the chip model.
     """
 
     requires_platform_factory = True
@@ -236,8 +236,12 @@ class QualificationFitness:
             return self._base_platform()
         platform = self._perturbed.get(key)
         if platform is None:
-            base = self._base_platform()
-            pdn = base.pdn
+            base = self._base_platform().pipeline
+            if base is None:
+                raise ConfigurationError(
+                    "jitter and PDN perturbations need a simulator backend"
+                )
+            pdn = base.pdn_stage.pdn
             if p.pdn_stage is not None:
                 stage = getattr(pdn, p.pdn_stage)
                 stage = dataclasses.replace(
@@ -246,25 +250,22 @@ class QualificationFitness:
                 )
                 pdn = dataclasses.replace(pdn, **{p.pdn_stage: stage})
             # The chip model is untouched by every perturbation axis, so
-            # perturbed backends share the base activity stage — module
+            # perturbed pipelines share the base activity stage — module
             # simulator, trace cache, profile cache, and counter ledger: a
             # full PDN sweep costs only PDN re-solves, and the base
             # platform's stats() reports the whole qualification's work.
-            backend = SimulatorBackend(
+            # They narrate to the base's observers too (stage fallbacks
+            # under a perturbation are worth surfacing).
+            platform = MeasurementPlatform(backend=MeasurementPipeline(
                 base.chip,
                 pdn,
-                warmup_iterations=base.warmup_iterations,
                 jitter_seed=(
-                    base.jitter_seed if p.jitter_seed is None else p.jitter_seed
+                    base.pdn_stage.jitter_seed
+                    if p.jitter_seed is None else p.jitter_seed
                 ),
-                share_stages_with=base,
-            )
-            if base.supports_batch_measure:
-                backend = BatchMeasurementBackend(backend)
-            platform = MeasurementPlatform(backend=backend)
-            # Perturbed pipelines narrate to the same observers as the base
-            # (stage fallbacks under a perturbation are worth surfacing).
-            platform.attach_observers(base.pipeline.observers)
+                activity=base.activity,
+                observers=base.observers,
+            ))
             self._perturbed[key] = platform
         return platform
 
@@ -277,32 +278,22 @@ class QualificationFitness:
         )
 
     def __call__(self, perturbation: Perturbation) -> float:
-        platform = self._platform_for(perturbation)
-        measurement = platform.measure_program(
-            self.program,
-            self.threads,
-            supply_v=perturbation.supply_v,
-            smt_phase_cycles=perturbation.smt_phase_cycles,
+        (measurement,) = self._platform_for(perturbation).measure_programs(
+            [self._request_for(perturbation)]
         )
         return float(self.cost.evaluate(measurement))
 
     def stats_probe(self):
-        """Current platform counters (perturbed backends share the ledger)."""
-        platform = self._base_platform()
-        stats_fn = getattr(platform, "stats", None)
-        return stats_fn() if stats_fn is not None else None
+        """Current platform counters (perturbed pipelines share the ledger)."""
+        return self._base_platform().stats()
 
-    def evaluate_batch(self, perturbations) -> list[EvalOutcome] | None:
+    def evaluate_batch(self, perturbations) -> list[EvalOutcome]:
         """Batch perturbation measurements per physical platform.
 
-        Only used when the base platform routes through a batch-capable
-        backend; perturbations sharing a platform (one jitter seed, one PDN
-        variant, the whole supply/SMT grid) solve as one matrix.  Returns
-        ``None`` when batching is unavailable so the engine falls back to
-        the per-perturbation executor map.
+        Perturbations sharing a platform (one jitter seed, one PDN
+        variant, the whole supply/SMT grid) measure as one batch, so
+        their PDN solves stack into one matrix.
         """
-        if not getattr(self._base_platform(), "supports_batch_measure", False):
-            return None
         perturbations = list(perturbations)
         start = time.perf_counter()
         groups: dict[int, list[int]] = {}

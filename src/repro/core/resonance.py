@@ -111,7 +111,7 @@ def find_resonance(
 
     decode_width = platform.chip.module.decode_width
     fp_width = platform.chip.module.fp_arith_pipes
-    probes: list[tuple[int, int, ThreadProgram]] = []
+    probes: list[tuple[int, ThreadProgram]] = []
     for period in period_candidates:
         if period < 2:
             raise SearchError("loop lengths must be >= 2 cycles")
@@ -124,38 +124,25 @@ def find_resonance(
         program = probe_program(
             pool, hp_count=hp_count, lp_nops=lp_nops, hp_mnemonic=hp_mnemonic
         )
-        probes.append((period, lp_nops, program))
+        probes.append((lp_nops, program))
 
-    if getattr(platform, "supports_batch_measure", False):
-        # One vectorized PDN solve per compatible probe group: the sweep's
-        # probes are independent, so the whole grid ships as one batch.
-        batch_start = time.perf_counter()
-        measurements = platform.measure_programs([
-            MeasureRequest(program=program, threads=threads)
-            for _period, _lp_nops, program in probes
-        ])
-        notify(observers, PhaseEvent(
-            name="resonance-probe-batch",
-            wall_s=time.perf_counter() - batch_start,
-            detail=f"{len(probes)} probes batched",
-        ))
-    else:
-        measurements = []
-        for period, _lp_nops, program in probes:
-            probe_start = time.perf_counter()
-            measurement = platform.measure_program(program, threads)
-            notify(observers, PhaseEvent(
-                name="resonance-probe",
-                wall_s=time.perf_counter() - probe_start,
-                detail=f"period {period} cycles, "
-                       f"droop {measurement.max_droop_v * 1e3:.1f} mV",
-            ))
-            measurements.append(measurement)
+    # The sweep's probes are independent, so the whole grid ships as one
+    # batch: one vectorized PDN solve per compatible probe group.
+    batch_start = time.perf_counter()
+    measurements = platform.measure_programs([
+        MeasureRequest(program=program, threads=threads)
+        for _lp_nops, program in probes
+    ])
+    notify(observers, PhaseEvent(
+        name="resonance-probe-batch",
+        wall_s=time.perf_counter() - batch_start,
+        detail=f"{len(probes)} probes batched",
+    ))
 
     points: list[ResonancePoint] = []
     best: ResonancePoint | None = None
     best_measurement_iteration: float | None = None
-    for (_period, lp_nops, _program), measurement in zip(probes, measurements):
+    for (lp_nops, _program), measurement in zip(probes, measurements):
         point = ResonancePoint(
             lp_nops=lp_nops,
             period_cycles=measurement.period_cycles,

@@ -56,7 +56,7 @@ def run_jitter_ablation(
     droops = {}
     for step in steps:
         fresh = MeasurementPlatform(
-            platform.chip, platform.pdn, jitter_step_cycles=step
+            platform.chip, platform.pipeline.pdn_stage.pdn, jitter_step_cycles=step
         )
         droops[step] = fresh.measure_program(program, 8).max_droop_v
     return JitterAblationResult(droops_8t=droops, droop_4t=droop_4t)

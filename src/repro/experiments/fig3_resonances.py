@@ -31,7 +31,7 @@ def run_fig3(
     swing_a: float = 30.0,
 ) -> Fig3Result:
     """Sweep the PDN and excite each resonance with a square-wave load."""
-    solver = platform.solver_at(platform.chip.vdd)
+    solver = platform.pipeline.pdn_stage.solver_at(platform.chip.vdd)
     sweep = sweep_impedance(solver.network)
     dt = platform.chip.cycle_time_s
 

@@ -50,7 +50,7 @@ def run_table3(
     pool = table.supported_on(platform.chip.extensions)
     period = max(
         2, int(round(platform.chip.frequency_hz
-                     / platform.pdn.first_droop_frequency_hz))
+                     / platform.pipeline.pdn_stage.pdn.first_droop_frequency_hz))
     )
 
     # SM1 carries FMA4 code: the testbed must reject it.

@@ -1,9 +1,9 @@
 """The staged measurement pipeline (compile → activity → pdn → analyze).
 
 See :mod:`repro.pipeline.artifacts` for the typed artifacts,
-:mod:`repro.pipeline.stages` for the stage implementations,
-:mod:`repro.pipeline.pipeline` for the orchestrator, and
-:mod:`repro.pipeline.batch` for the vectorized batch backend.
+:mod:`repro.pipeline.stages` for the stage implementations, and
+:mod:`repro.pipeline.pipeline` for the orchestrator (the default
+measurement backend).
 """
 
 from repro.pipeline.artifacts import (
@@ -15,7 +15,6 @@ from repro.pipeline.artifacts import (
     PdnResponse,
     artifact_key,
 )
-from repro.pipeline.batch import BatchMeasurementBackend
 from repro.pipeline.cache import StageCache
 from repro.pipeline.pipeline import MeasurementPipeline
 from repro.pipeline.stages import (
@@ -31,7 +30,6 @@ __all__ = [
     "ActivityProfile",
     "ActivityStage",
     "AnalyzeStage",
-    "BatchMeasurementBackend",
     "CompileStage",
     "CompiledProgram",
     "Measurement",

@@ -3,10 +3,10 @@
 ``MeasurementPipeline`` wires the four stages together, owns the shared
 :class:`~repro.pipeline.stages.PipelineCounters`, times every stage, and
 emits one :class:`~repro.core.telemetry.StageEvent` per stage per
-measurement.  ``measure_batch`` is the vectorized entry point: it runs
-compile/activity per candidate, then groups candidates whose PDN rows
-stack into a rectangular matrix and solves each group in a single scipy
-call.
+measurement.  ``measure(requests)`` is the only entry point: it runs
+compile/activity per request, then groups requests whose PDN rows stack
+into a rectangular matrix and solves each group in a single scipy call.
+The pipeline is the default :class:`~repro.core.platform.MeasurementBackend`.
 """
 
 from __future__ import annotations
@@ -81,56 +81,42 @@ class MeasurementPipeline:
         self.observers = tuple(observers)
 
     # ------------------------------------------------------------------
-    # Serial measurement
+    # Measurement
     # ------------------------------------------------------------------
-    def measure(self, request: MeasureRequest) -> Measurement:
-        phases, supply = self._validated(request)
-        with span("pipeline.measure", threads=request.threads) as measure_span:
-            self.counters.measurements += 1
-            profile = self._profile_for(request)
-            self.counters.path_counts[profile.path] += 1
-            measure_span.set(path=profile.path)
-            response = self._timed_pdn(profile, phases, supply)
-            start = time.perf_counter()
-            measurement = self.analyze.run(profile, response)
-            wall = time.perf_counter() - start
-            self.counters.record_stage("analyze", wall)
-            self._stage_event("analyze", wall)
-        return measurement
+    def measure(self, requests) -> list[Measurement]:
+        """Measure *requests*, batching compatible PDN solves.
 
-    def measure_batch(self, requests) -> list[Measurement]:
-        """Measure many requests, batching compatible PDN solves.
-
-        Compile and activity run per candidate (hitting their caches as
-        usual); candidates whose profiles share a dispatch path and period
-        form rectangular row groups that solve in one matrix call.
-        Transient fallbacks and singleton groups take the ordinary serial
-        stage.  Results are bit-identical to :meth:`measure` in request
-        order.
+        Compile and activity run per request (hitting their caches as
+        usual), each inside its own ``pipeline.measure`` span.  Requests
+        whose profiles share a dispatch path and period form rectangular
+        row groups that solve in one matrix call; transient fallbacks and
+        singleton groups take the serial :meth:`PdnStage.run`, the
+        reference implementation.  A single measurement is a batch of
+        one, and results are bit-identical however requests are grouped.
         """
-        requests = list(requests)
         prepared = []
         for request in requests:
             phases, supply = self._validated(request)
-            self.counters.measurements += 1
-            profile = self._profile_for(request)
-            self.counters.path_counts[profile.path] += 1
+            with span("pipeline.measure", threads=request.threads) as measure_span:
+                self.counters.measurements += 1
+                profile = self._profile_for(request)
+                self.counters.path_counts[profile.path] += 1
+                measure_span.set(path=profile.path)
             prepared.append((profile, phases, supply))
 
         groups: dict = {}
-        for idx, (profile, phases, supply) in enumerate(prepared):
+        for idx, (profile, _phases, _supply) in enumerate(prepared):
             if profile.path in ("periodic", "jittered"):
                 key = (profile.path, profile.period_cycles)
             else:
                 key = ("transient", idx)
             groups.setdefault(key, []).append(idx)
 
-        responses: list = [None] * len(requests)
+        responses: list = [None] * len(prepared)
         for (path, _), indices in groups.items():
             if path == "transient" or len(indices) == 1:
                 for idx in indices:
-                    profile, phases, supply = prepared[idx]
-                    responses[idx] = self._timed_pdn(profile, phases, supply)
+                    responses[idx] = self._timed_pdn(*prepared[idx])
                 continue
             start = time.perf_counter()
             with span("pipeline.pdn_solve", path=path, batched=True,
@@ -145,15 +131,17 @@ class MeasurementPipeline:
             for idx, response in zip(indices, solved):
                 responses[idx] = response
 
-        start = time.perf_counter()
-        measurements = [
-            self.analyze.run(profile, response)
-            for (profile, _phases, _supply), response in zip(prepared, responses)
-        ]
-        wall = time.perf_counter() - start
-        self.counters.record_stage("analyze", wall)
-        self._stage_event("analyze", wall, batched=True)
+        measurements = []
+        for (profile, _phases, _supply), response in zip(prepared, responses):
+            start = time.perf_counter()
+            measurements.append(self.analyze.run(profile, response))
+            wall = time.perf_counter() - start
+            self.counters.record_stage("analyze", wall)
+            self._stage_event("analyze", wall)
         return measurements
+
+    #: The :class:`~repro.core.platform.MeasurementBackend` protocol name.
+    measure_programs = measure
 
     # ------------------------------------------------------------------
     # Raw-trace measurement (synthetic workloads)

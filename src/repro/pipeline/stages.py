@@ -2,7 +2,7 @@
 
 Each stage is a small object with a ``name`` and a ``run`` method taking
 the previous stage's artifact (the :class:`Stage` protocol).  The numeric
-bodies are the former ``SimulatorBackend`` internals moved here verbatim —
+bodies are the former simulator-backend internals moved here verbatim —
 the decomposition changes where the code lives and what gets cached, never
 a single float.
 """
@@ -272,8 +272,7 @@ class PdnStage:
 
     Keeps one :class:`TransientSolver` per supply voltage, a bounded
     response cache keyed ``(profile, phases, supply)``, and the batched
-    row-assembly helpers the :class:`BatchMeasurementBackend` stacks into
-    matrix solves.
+    row-assembly helpers :meth:`run_batch` stacks into matrix solves.
     """
 
     name = "pdn"

@@ -91,7 +91,7 @@ def hash_platform(platform) -> str:
     """
     payload = {
         "chip": _canonical(dataclasses.asdict(platform.chip)),
-        "pdn": _canonical(dataclasses.asdict(platform.pdn)),
+        "pdn": _canonical(dataclasses.asdict(platform.pipeline.pdn_stage.pdn)),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

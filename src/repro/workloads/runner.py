@@ -47,7 +47,8 @@ def run_workload(
     utils = model.apply_barriers(utils, rng)
 
     counts = spread_placement(chip, threads)
-    idle = platform.chip_sim.idle_module_current()
+    pipeline = platform.pipeline
+    idle = pipeline.activity.chip_sim.idle_module_current()
     total_current = np.zeros(duration_cycles)
     total_sens = np.zeros(duration_cycles)
     next_thread = 0
@@ -62,7 +63,7 @@ def run_workload(
             next_thread += 1
             module_energy += model.thread_energy(chip, util)
             np.maximum(module_sens, model.thread_sensitivity(util), out=module_sens)
-        total_current += platform._current_from_energy(
+        total_current += pipeline.pdn_stage.current_from_energy(
             module_energy, active_threads=count, supply_v=supply
         )
         np.maximum(total_sens, module_sens, out=total_sens)

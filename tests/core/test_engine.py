@@ -20,7 +20,6 @@ from repro.core.platform import (
     Measurement,
     MeasurementPlatform,
     MeasurementStats,
-    SimulatorBackend,
 )
 from repro.core.telemetry import (
     ConsoleObserver,
@@ -299,10 +298,13 @@ class FakeBackend:
             iteration_cycles=float(n),
         )
 
-    def measure_program(self, program, threads, *, module_phases=None,
-                        supply_v=None, smt_phase_cycles=None):
-        self.programs.append((program, threads))
-        return self._measurement(self.chip.vdd if supply_v is None else supply_v)
+    def measure_programs(self, requests):
+        measurements = []
+        for request in requests:
+            self.programs.append((request.program, request.threads))
+            supply = self.chip.vdd if request.supply_v is None else request.supply_v
+            measurements.append(self._measurement(supply))
+        return measurements
 
     def measure_current(self, current, *, sensitivity=None, supply_v=None,
                         baseline_current_a=None):
@@ -337,22 +339,14 @@ class TestMeasurementBackendSeam:
         result = runner.run()
         assert result.max_droop_v == pytest.approx(0.042)
 
-    def test_simulator_internals_error_cleanly_on_foreign_backend(self):
-        platform = MeasurementPlatform(backend=FakeBackend())
-        with pytest.raises(ConfigurationError):
-            platform.chip_sim
-        with pytest.raises(ConfigurationError):
-            platform.pdn
-
-    def test_fallback_stats_count_measurements(self):
+    def test_foreign_backend_has_no_pipeline(self):
+        """No simulator underneath: no pipeline, and no simulator counters."""
         platform = MeasurementPlatform(backend=FakeBackend())
         space = small_space()
         genome = space.random_genome(np.random.default_rng(1))
         EvaluationEngine.for_stressmarks(platform, space, threads=4).evaluate(genome)
-        stats = platform.stats()
-        assert isinstance(stats, MeasurementStats)
-        assert stats.measurements == 1
-        assert stats.module_runs == 0
+        assert platform.pipeline is None
+        assert platform.stats() == MeasurementStats()
 
     def test_backend_and_chip_pdn_are_mutually_exclusive(self):
         chip = bulldozer_chip()
@@ -423,16 +417,6 @@ class TestPlatformTelemetry:
         limit = platform.chip.total_threads
         with pytest.raises(ConfigurationError):
             platform.measure_program(program, limit + 1)
-
-    def test_simulator_backend_direct_use(self):
-        chip = bulldozer_chip()
-        backend = SimulatorBackend(chip, bulldozer_pdn(vdd=chip.vdd))
-        from repro.core.resonance import probe_program
-
-        program = probe_program(TABLE, hp_count=32, lp_nops=95)
-        m = backend.measure_program(program, 4)
-        assert m.max_droop_v > 0
-        assert backend.stats().measurements == 1
 
 
 # ----------------------------------------------------------------------

@@ -117,9 +117,9 @@ class TestPlatformGuards:
     def test_solver_cache_keyed_by_supply(self):
         chip = bulldozer_chip()
         platform = MeasurementPlatform(chip, bulldozer_pdn(vdd=chip.vdd))
-        a = platform.solver_at(1.2)
-        b = platform.solver_at(1.2)
-        c = platform.solver_at(1.1)
+        a = platform.pipeline.pdn_stage.solver_at(1.2)
+        b = platform.pipeline.pdn_stage.solver_at(1.2)
+        c = platform.pipeline.pdn_stage.solver_at(1.1)
         assert a is b
         assert a is not c
         assert c.network.params.vdd_nominal == pytest.approx(1.1)

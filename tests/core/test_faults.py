@@ -23,6 +23,7 @@ from repro.core.telemetry import FaultEvent, TelemetryCollector
 from repro.errors import ConfigurationError, InvariantViolation, MeasurementError
 from repro.experiments.setup import bulldozer_testbed
 from repro.isa.opcodes import default_table
+from repro.pipeline import MeasureRequest
 
 TABLE = default_table()
 
@@ -266,7 +267,7 @@ class TestFaultInjectingBackend:
             faults = []
             for _ in range(20):
                 try:
-                    backend.measure_program(self.probe(), 2)
+                    backend.measure_programs([MeasureRequest(self.probe(), 2)])
                     faults.append(False)
                 except InjectedFaultError:
                     faults.append(True)
@@ -274,6 +275,19 @@ class TestFaultInjectingBackend:
 
         assert schedule(3) == schedule(3)
         assert any(schedule(3))
+
+    def test_batch_draws_one_fault_per_request_in_order(self):
+        """A batch consumes the fault RNG exactly like N single calls."""
+        config = FaultInjectionConfig(seed=5, corrupt_rate=0.5)
+        requests = [MeasureRequest(self.probe(), 2) for _ in range(12)]
+        single = FaultInjectingBackend(bulldozer_testbed().backend, config=config)
+        one_by_one = [single.measure_programs([r])[0] for r in requests]
+        batch = FaultInjectingBackend(bulldozer_testbed().backend, config=config)
+        batched = batch.measure_programs(requests)
+        corrupted = [bool(np.isnan(m.max_droop_v)) for m in batched]
+        assert corrupted == [bool(np.isnan(m.max_droop_v)) for m in one_by_one]
+        assert any(corrupted) and not all(corrupted)
+        assert batch.counts == single.counts
 
     def test_exception_injection(self):
         platform, backend = self.chaos_platform(
@@ -296,7 +310,8 @@ class TestFaultInjectingBackend:
         inner = bulldozer_testbed().backend
         backend = FaultInjectingBackend(inner, config=FaultInjectionConfig(
             seed=0, corrupt_rate=1.0))
-        measurement = backend.measure_program(self.probe(), 2)
+        (measurement,) = backend.measure_programs(
+            [MeasureRequest(self.probe(), 2)])
         assert np.isnan(measurement.max_droop_v)
 
     @pytest.mark.parametrize("mode, guard", [
@@ -334,8 +349,8 @@ class TestFaultInjectingBackend:
 
     def test_platform_simulator_internals_visible_through_wrapper(self):
         platform, _backend = self.chaos_platform(FaultInjectionConfig(seed=0))
-        assert platform.chip_sim is not None
-        assert platform.pdn is not None
+        assert platform.pipeline.activity.chip_sim is not None
+        assert platform.pipeline.pdn_stage.pdn is not None
         platform.measure_program(self.probe(), 2)
         assert platform.stats().measurements == 1
 

@@ -83,9 +83,9 @@ class TestMeasureProgram:
     def test_module_runs_memoised_across_measurements(self, platform):
         program = resonant_program()
         platform.measure_program(program, 4)
-        cached = len(platform.chip_sim._cache)
+        cached = len(platform.pipeline.activity.chip_sim._cache)
         platform.measure_program(program, 4, supply_v=1.1)
-        assert len(platform.chip_sim._cache) == cached  # reused simulations
+        assert len(platform.pipeline.activity.chip_sim._cache) == cached  # reused simulations
 
     def test_transient_fallback_for_unstable_loops(self, platform):
         # divpd's 20-cycle unit occupancy produces long non-repeating

@@ -117,7 +117,7 @@ class TestPathConsistency:
 
         # Brute force: tile the measured periodic current and simulate.
         tiled = fast.current.tile(400)
-        solver = platform.solver_at(platform.chip.vdd)
+        solver = platform.pipeline.pdn_stage.solver_at(platform.chip.vdd)
         slow = solver.simulate(tiled, baseline_current_a=fast.current.mean_a)
         late_min = slow.samples[len(slow.samples) // 2 :].min()
         assert fast.voltage.min_v == pytest.approx(late_min, abs=2e-3)

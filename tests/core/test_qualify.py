@@ -267,8 +267,9 @@ class TestQualificationFitness:
         fitness(Perturbation(pdn_stage="die", pdn_field="resistance_ohm",
                              pdn_scale=1.1))
         (perturbed,) = fitness._perturbed.values()
-        assert perturbed.chip_sim is platform.chip_sim
-        assert perturbed.pdn is not platform.pdn
+        assert (perturbed.pipeline.activity.chip_sim
+                is platform.pipeline.activity.chip_sim)
+        assert perturbed.pipeline.pdn_stage.pdn is not platform.pipeline.pdn_stage.pdn
 
     def test_perturbed_platform_is_reused(self, a_res):
         fitness = QualificationFitness(a_res, 2, platform=bulldozer_testbed())

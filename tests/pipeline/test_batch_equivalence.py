@@ -1,11 +1,13 @@
 """Property test: batched PDN solves are bit-identical to serial ones.
 
-The batch backend's whole contract is that vectorizing the PDN stage is
-a pure wall-clock optimisation — every ``max_droop_v`` and sensitivity
-vector must match a per-request serial measurement exactly, across the
-periodic path, the jittered 2-SMT path, supply sweeps, and dithering
-phase offsets.  Serial and batched sides run on *independent* platforms
-(separate caches) so equality is earned, not served from a shared cache.
+Measurement has one path, and a single measurement is a batch of one.
+Its whole contract is that how requests are grouped never changes a
+float: N batches of one must reproduce one batch of N exactly — every
+``max_droop_v`` and sensitivity vector — across the periodic path, the
+jittered 2-SMT path, supply sweeps, and dithering phase offsets.  Both
+sides run on the same platform, batches of one first: the batched solve
+only ever populates the PDN response cache, never reads it, so the
+grouped rows are solved afresh and equality is earned, not served.
 """
 
 import numpy as np
@@ -14,31 +16,29 @@ from hypothesis import strategies as st
 
 from repro.core.codegen import genome_to_program
 from repro.core.genome import GenomeSpace
-from repro.core.platform import MeasurementPlatform, SimulatorBackend
+from repro.core.platform import MeasurementPlatform
+from repro.core.resonance import probe_program
 from repro.experiments.setup import bulldozer_chip, bulldozer_pdn
 from repro.isa import default_table
-from repro.pipeline import BatchMeasurementBackend, MeasureRequest
+from repro.obs.spans import SpanBuffer, Tracer, tracing
+from repro.pipeline import MeasureRequest
 
 TABLE = default_table()
 SPACE = GenomeSpace(table=TABLE, slots=8, replications=2,
                     lp_nops_min=0, lp_nops_max=48)
 
 
-def _serial_platform():
+def _platform():
     chip = bulldozer_chip()
     return MeasurementPlatform(chip, bulldozer_pdn(vdd=chip.vdd))
 
 
-def _batched_platform():
-    chip = bulldozer_chip()
-    backend = SimulatorBackend(chip, bulldozer_pdn(vdd=chip.vdd))
-    return MeasurementPlatform(backend=BatchMeasurementBackend(backend))
+# Shared across hypothesis examples so module-trace caches warm up.
+PLATFORM = _platform()
 
 
-# Shared across hypothesis examples: module-trace caches warm up, and the
-# serial/batched sides still never share a cache with each other.
-SERIAL = _serial_platform()
-BATCHED = _batched_platform()
+def _one_at_a_time(platform, requests):
+    return [platform.measure_programs([r])[0] for r in requests]
 
 
 def _random_requests(rng):
@@ -54,10 +54,13 @@ def _random_requests(rng):
             tuple(int(p) for p in rng.integers(0, 64, size=4))
             if rng.random() < 0.5 else None
         )
-        requests.append(MeasureRequest(
-            program=program, threads=threads,
-            supply_v=supply, module_phases=phases,
-        ))
+        # Two grid points per program, so the batch has groups to stack.
+        for _ in range(2):
+            requests.append(MeasureRequest(
+                program=program, threads=threads,
+                supply_v=supply, module_phases=phases,
+            ))
+            supply = float(rng.uniform(1.08, 1.32))
     return requests
 
 
@@ -67,17 +70,8 @@ class TestBatchSerialEquivalence:
     def test_bit_identical_across_random_grids(self, seed):
         rng = np.random.default_rng(seed)
         requests = _random_requests(rng)
-        serial = [
-            SERIAL.measure_program(
-                r.program, r.threads,
-                supply_v=r.supply_v,
-                module_phases=(
-                    list(r.module_phases) if r.module_phases else None
-                ),
-            )
-            for r in requests
-        ]
-        batched = BATCHED.measure_programs(requests)
+        serial = _one_at_a_time(PLATFORM, requests)
+        batched = PLATFORM.measure_programs(requests)
         assert len(batched) == len(serial)
         for expect, got in zip(serial, batched):
             assert got.max_droop_v == expect.max_droop_v
@@ -88,7 +82,7 @@ class TestBatchSerialEquivalence:
 
     def test_batch_actually_batches(self):
         rng = np.random.default_rng(7)
-        platform = _batched_platform()
+        platform = _platform()
         genome = SPACE.random_genome(rng)
         program = genome_to_program(genome, SPACE)
         supplies = np.linspace(1.1, 1.3, 6)
@@ -96,7 +90,7 @@ class TestBatchSerialEquivalence:
             MeasureRequest(program=program, threads=4, supply_v=float(v))
             for v in supplies
         ])
-        counters = platform.backend.pipeline.counters
+        counters = platform.pipeline.counters
         assert counters.batched_solves >= 1
         assert counters.batched_rows == len(supplies)
 
@@ -112,9 +106,30 @@ class TestBatchSerialEquivalence:
             MeasureRequest(program=programs[1], threads=4),   # periodic
             MeasureRequest(program=programs[2], threads=4),
         ]
-        serial = [
-            SERIAL.measure_program(r.program, r.threads) for r in requests
-        ]
-        batched = BATCHED.measure_programs(requests)
+        serial = _one_at_a_time(PLATFORM, requests)
+        batched = PLATFORM.measure_programs(requests)
         for expect, got in zip(serial, batched):
             assert got.max_droop_v == expect.max_droop_v
+
+
+class TestBatchSpans:
+    def test_one_measure_span_per_request(self):
+        """A mixed-period batch still traces every measurement."""
+        platform = _platform()
+        requests = [
+            MeasureRequest(
+                program=probe_program(TABLE, hp_count=8, lp_nops=nops),
+                threads=threads, supply_v=supply,
+            )
+            for nops in (8, 40)
+            for threads in (2, 8)
+            for supply in (1.15, 1.2)
+        ]
+        buffer = SpanBuffer(cap=1024)
+        with tracing(Tracer([buffer])):
+            platform.measure_programs(requests)
+        names = [record.name for record in buffer.records]
+        assert platform.pipeline.counters.batched_solves >= 1
+        assert (names.count("pipeline.measure")
+                == platform.pipeline.counters.measurements
+                == len(requests))

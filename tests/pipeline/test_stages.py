@@ -178,10 +178,10 @@ class TestPipelineValidation:
 
     def test_phase_vector_length_checked(self, pipeline):
         with pytest.raises(MeasurementError):
-            pipeline.measure(MeasureRequest(
-                program=resonant_program(), threads=4, module_phases=(1, 2)))
+            pipeline.measure([MeasureRequest(
+                program=resonant_program(), threads=4, module_phases=(1, 2))])
 
     def test_nonpositive_supply_rejected(self, pipeline):
         with pytest.raises(ConfigurationError):
-            pipeline.measure(MeasureRequest(
-                program=resonant_program(), threads=4, supply_v=-1.0))
+            pipeline.measure([MeasureRequest(
+                program=resonant_program(), threads=4, supply_v=-1.0)])

@@ -81,11 +81,12 @@ class TestHashStability:
     def test_hash_detects_preset_drift(self, platform):
         import dataclasses
 
+        pdn = platform.pipeline.pdn_stage.pdn
         drifted = dataclasses.replace(
-            platform.pdn,
+            pdn,
             die=dataclasses.replace(
-                platform.pdn.die,
-                resistance_ohm=platform.pdn.die.resistance_ohm * 1.01,
+                pdn.die,
+                resistance_ohm=pdn.die.resistance_ohm * 1.01,
             ),
         )
         from repro.core.platform import MeasurementPlatform
