@@ -12,6 +12,7 @@ from repro.core.telemetry import TelemetryCollector
 from repro.experiments.setup import bulldozer_testbed
 from repro.isa.encoder import encode_kernel_listing
 from repro.isa.opcodes import default_table
+from repro.obs.spans import Tracer, tracing
 from repro.workloads.stressmarks import sm_res, stressmark_program
 
 
@@ -25,7 +26,14 @@ def test_audit_generates_resonant_stressmark(benchmark, save_report):
     )
     collector = TelemetryCollector()
     runner = AuditRunner(platform, config=config, observers=[collector])
-    result = benchmark.pedantic(runner.run, rounds=1, iterations=1)
+
+    def traced_run():
+        # Generations, phases and stages report as spans: trace the run
+        # so the report's summary table has them.
+        with tracing(Tracer([collector])):
+            return runner.run()
+
+    result = benchmark.pedantic(traced_run, rounds=1, iterations=1)
 
     hand_tuned = platform.measure_program(
         stressmark_program(sm_res(default_table())), 4

@@ -71,21 +71,18 @@ def _observers(args):
 
 
 def _tracing_scope(args, observers):
-    """Scoped ambient tracer, active whenever a telemetry sink is on.
+    """Scoped ambient tracer over the command's *observers*.
 
-    The tracer holds the live *observers* list, so sinks appended after
-    this call (the run collector, for instance) still see every span.
-    With no telemetry flags the scope installs ``None`` and the span call
-    sites stay no-ops.
+    Phases, generations, checkpoints and pipeline stages report only as
+    spans, and every campaign command has sinks for them (the run
+    collector and the crash flight recorder), so the scope always
+    installs a tracer, whatever telemetry flags *args* carries.  The
+    tracer holds the live *observers* list, so sinks appended after this
+    call still see every span.
     """
     from repro.obs.spans import Tracer, tracing
 
-    wanted = (
-        getattr(args, "telemetry_out", None)
-        or getattr(args, "progress", False)
-        or getattr(args, "telemetry", False)
-    )
-    return tracing(Tracer(observers) if wanted else None)
+    return tracing(Tracer(observers))
 
 
 def _fault_policy(args) -> FaultPolicy | None:

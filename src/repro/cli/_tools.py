@@ -14,6 +14,7 @@ from repro.cli._common import (
     _add_telemetry_args,
     _observers,
     _platform_factory,
+    _tracing_scope,
 )
 
 
@@ -63,7 +64,8 @@ def cmd_bench_evals(args) -> int:
         platform_factory=_platform_factory(args.chip),
     )
     try:
-        result = runner.run()
+        with _tracing_scope(args, observers):
+            result = runner.run()
     finally:
         executor.close()
         if jsonl is not None:

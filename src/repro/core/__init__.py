@@ -78,14 +78,11 @@ from repro.core.resonance import (
     probe_program,
 )
 from repro.core.telemetry import (
-    CheckpointEvent,
     ConsoleObserver,
     EvaluationEvent,
     FaultEvent,
-    GenerationEvent,
     InvariantEvent,
     JsonlObserver,
-    PhaseEvent,
     QualificationEvent,
     RecentEventsObserver,
     RunObserver,
@@ -101,7 +98,6 @@ __all__ = [
     "CampaignCheckpoint",
     "CampaignQualification",
     "CampaignState",
-    "CheckpointEvent",
     "ConsoleObserver",
     "EvalOutcome",
     "FRAGILE",
@@ -117,7 +113,6 @@ __all__ = [
     "EvaluationEvent",
     "GaConfig",
     "GaResult",
-    "GenerationEvent",
     "GenerationStats",
     "GeneticAlgorithm",
     "GenomeSpace",
@@ -131,7 +126,6 @@ __all__ = [
     "PASS",
     "ParallelExecutor",
     "Perturbation",
-    "PhaseEvent",
     "QualificationCheckpoint",
     "QualificationEvent",
     "QualificationFitness",

@@ -10,7 +10,6 @@ intervention.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -37,8 +36,6 @@ from repro.core.qualify import (
 )
 from repro.core.resonance import ResonanceSweepResult, find_resonance
 from repro.core.telemetry import (
-    CheckpointEvent,
-    PhaseEvent,
     PlatformMetricsEvent,
     RunObserver,
     SupervisorEvent,
@@ -296,9 +293,6 @@ class AuditRunner:
         cfg = self.config
         if resume and checkpoint is None:
             raise CheckpointError("resume=True needs a checkpoint store")
-        attach = getattr(self.platform, "attach_observers", None)
-        if attach is not None:
-            attach(self.observers)
         # GA evaluations are guarded inside the engine; the sweep and the
         # final verification measure directly, so guard them here too.
         measure_platform = self.platform
@@ -307,20 +301,15 @@ class AuditRunner:
                 self.platform, self.fault_policy,
                 observers=self.observers, label="closed-loop-measurement",
             )
-        sweep_start = time.perf_counter()
-        with span("audit.resonance-sweep"):
+        with span("audit.resonance-sweep") as phase:
             resonance = find_resonance(
                 measure_platform,
                 self.table,
                 threads=1,
                 period_candidates=list(range(8, 133, cfg.lp_sweep_step)),
             )
-        notify(self.observers, PhaseEvent(
-            name="resonance-sweep",
-            wall_s=time.perf_counter() - sweep_start,
-            detail=f"{len(resonance.points)} probes, "
-                   f"{resonance.resonance_hz / 1e6:.1f} MHz",
-        ))
+            phase.set(detail=f"{len(resonance.points)} probes, "
+                             f"{resonance.resonance_hz / 1e6:.1f} MHz")
         space = self.build_space(resonance)
         engine = self.build_engine(space)
         if seed_cache:
@@ -331,7 +320,6 @@ class AuditRunner:
             crossover_fn=space.crossover,
             fitness_fn=engine,
             config=cfg.ga,
-            observers=self.observers,
         )
         resume_snapshot: GaSnapshot | None = None
         if resume:
@@ -357,26 +345,24 @@ class AuditRunner:
         checkpoint_fn = None
         if checkpoint is not None:
             def checkpoint_fn(snapshot: GaSnapshot) -> None:
-                save_start = time.perf_counter()
-                path = checkpoint.save(
-                    snapshot,
-                    fitness_cache=engine.cache_snapshot(),
-                    cache_hits=engine.cache_hits,
-                )
-                notify(self.observers, CheckpointEvent(
-                    generation=snapshot.generation,
-                    path=str(path),
-                    wall_s=time.perf_counter() - save_start,
-                ))
+                with span("checkpoint.save",
+                          generation=snapshot.generation) as save:
+                    path = checkpoint.save(
+                        snapshot,
+                        fitness_cache=engine.cache_snapshot(),
+                        cache_hits=engine.cache_hits,
+                    )
+                    save.set(path=str(path))
         if seeds is None:
             seeds = self.default_seeds(space, resonance)
-        ga_start = time.perf_counter()
         try:
-            with span("audit.ga-search", generations=cfg.ga.generations):
+            with span("audit.ga-search", generations=cfg.ga.generations) as phase:
                 ga_result = ga.run(
                     seeds=seeds, resume=resume_snapshot,
                     checkpoint_fn=checkpoint_fn, stop_fn=stop,
                 )
+                phase.set(detail=f"{ga_result.evaluations} evaluations, "
+                                 f"{len(ga_result.history)} generations")
         except CampaignInterrupted as error:
             # Re-raise with the resume point attached: the generation
             # boundary's checkpoint landed just before the stop check.
@@ -387,30 +373,18 @@ class AuditRunner:
                     str(checkpoint.state_path) if checkpoint is not None else ""
                 ),
             ) from None
-        notify(self.observers, PhaseEvent(
-            name="ga-search",
-            wall_s=time.perf_counter() - ga_start,
-            detail=f"{ga_result.evaluations} evaluations, "
-                   f"{len(ga_result.history)} generations",
-        ))
         label = name or (
             "A-Res" if cfg.mode is StressmarkMode.RESONANT else "A-Ex"
         )
         kernel = genome_to_kernel(ga_result.best_genome, space, name=label)
         program = ThreadProgram(kernel, DEFAULT_ITERATIONS)
-        final_start = time.perf_counter()
-        with span("audit.final-measurement", threads=cfg.threads):
+        with span("audit.final-measurement", threads=cfg.threads) as phase:
             measurement = measure_platform.measure_program(program, cfg.threads)
-        notify(self.observers, PhaseEvent(
-            name="final-measurement",
-            wall_s=time.perf_counter() - final_start,
-            detail=f"{label} at {cfg.threads}T",
-        ))
+            phase.set(detail=f"{label} at {cfg.threads}T")
         genome = ga_result.best_genome
         qualification = None
         if qualify is not None:
-            qual_start = time.perf_counter()
-            with span("audit.qualification"):
+            with span("audit.qualification") as phase:
                 qualification, genome, kernel = self._qualify_winner(
                     engine=engine,
                     space=space,
@@ -420,18 +394,14 @@ class AuditRunner:
                     config=qualify,
                     checkpoint=qualify_checkpoint,
                 )
-            if qualification.demoted:
-                measurement = measure_platform.measure_program(
-                    ThreadProgram(kernel, DEFAULT_ITERATIONS), cfg.threads
-                )
-            notify(self.observers, PhaseEvent(
-                name="qualification",
-                wall_s=time.perf_counter() - qual_start,
-                detail=(
+                if qualification.demoted:
+                    measurement = measure_platform.measure_program(
+                        ThreadProgram(kernel, DEFAULT_ITERATIONS), cfg.threads
+                    )
+                phase.set(detail=(
                     f"{qualification.verdict}"
                     + (", winner demoted" if qualification.demoted else "")
-                ),
-            ))
+                ))
         metrics = getattr(self.platform, "metrics", None)
         if metrics is not None:
             notify(self.observers, PlatformMetricsEvent(

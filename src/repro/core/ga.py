@@ -23,13 +23,11 @@ fixed seeds keep producing identical :class:`GaResult`s.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Sequence, TypeVar
 
 import numpy as np
 
-from repro.core.telemetry import GenerationEvent, RunObserver, notify
 from repro.errors import CampaignInterrupted, SearchError
 from repro.obs.spans import span
 
@@ -140,7 +138,6 @@ class GeneticAlgorithm(Generic[G]):
         crossover_fn: Callable[[G, G, np.random.Generator], G],
         fitness_fn,
         config: GaConfig,
-        observers: Sequence[RunObserver] = (),
     ):
         self._random_fn = random_fn
         self._mutate_fn = mutate_fn
@@ -150,7 +147,6 @@ class GeneticAlgorithm(Generic[G]):
         else:
             self._evaluator = _MemoisedFitness(fitness_fn)
         self.config = config
-        self.observers = tuple(observers)
         self._scores: dict[G, float] = {}
 
     # ------------------------------------------------------------------
@@ -251,38 +247,30 @@ class GeneticAlgorithm(Generic[G]):
                 reason = stop_fn()
                 if reason:
                     raise CampaignInterrupted(reason, generation=generation)
-            gen_start = time.perf_counter()
             evals_before = self._evaluator.evaluations
             with span("ga.generation", generation=generation,
-                      population=len(population)):
+                      population=len(population)) as generation_span:
                 scores = self._score_population(population)
-            gen_best = max(scores)
-            if gen_best > best_fitness + 1e-12:
-                best_fitness = gen_best
-                best_genome = population[int(np.argmax(scores))]
-                stale = 0
-            else:
-                stale += 1
-            history.append(
-                GenerationStats(
+                gen_best = max(scores)
+                if gen_best > best_fitness + 1e-12:
+                    best_fitness = gen_best
+                    best_genome = population[int(np.argmax(scores))]
+                    stale = 0
+                else:
+                    stale += 1
+                stats = GenerationStats(
                     generation=generation,
                     best_fitness=best_fitness,
                     mean_fitness=float(np.mean(scores)),
                     evaluations_so_far=self._evaluator.evaluations,
                 )
-            )
-            notify(
-                self.observers,
-                GenerationEvent(
-                    generation=generation,
-                    best_fitness=best_fitness,
-                    mean_fitness=float(np.mean(scores)),
-                    evaluations_so_far=self._evaluator.evaluations,
-                    batch_size=len(population),
-                    batch_new=self._evaluator.evaluations - evals_before,
-                    wall_s=time.perf_counter() - gen_start,
-                ),
-            )
+                history.append(stats)
+                generation_span.set(
+                    best_fitness=stats.best_fitness,
+                    mean_fitness=stats.mean_fitness,
+                    batch_new=stats.evaluations_so_far - evals_before,
+                    evaluations_so_far=stats.evaluations_so_far,
+                )
             if stale >= cfg.stagnation_patience:
                 stopped_early = True
                 break

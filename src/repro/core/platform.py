@@ -31,7 +31,7 @@ notation).  Thread/module phase offsets are applied by rolling the
 periodic profiles, which is what makes dithering sweeps and GA fitness
 cheap.  Runs that never become periodic (e.g. heterogeneous threads
 fighting over the shared FPU) fall back to a long time-domain transient,
-and the pipeline emits a ``StageEvent`` naming the reason.
+and the measurement's ``pipeline.activity`` span names the reason.
 """
 
 from __future__ import annotations
@@ -155,15 +155,6 @@ class MeasurementPlatform:
     @property
     def chip(self) -> ChipConfig:
         return self.backend.chip
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def attach_observers(self, observers) -> None:
-        """Route pipeline stage telemetry to *observers* (no-op for
-        backends without a pipeline)."""
-        if self.pipeline is not None:
-            self.pipeline.observers = tuple(observers)
 
     # ------------------------------------------------------------------
     # Measurement

@@ -254,8 +254,6 @@ class QualificationFitness:
             # simulator, trace cache, profile cache, and counter ledger: a
             # full PDN sweep costs only PDN re-solves, and the base
             # platform's metrics hold the whole qualification's work.
-            # They narrate to the base's observers too (stage fallbacks
-            # under a perturbation are worth surfacing).
             platform = MeasurementPlatform(backend=MeasurementPipeline(
                 base.chip,
                 pdn,
@@ -264,7 +262,6 @@ class QualificationFitness:
                     if p.jitter_seed is None else p.jitter_seed
                 ),
                 activity=base.activity,
-                observers=base.observers,
             ))
             self._perturbed[key] = platform
         return platform
@@ -647,9 +644,6 @@ class StressmarkQualifier:
         self, program: ThreadProgram, *, name: str
     ) -> QualificationReport:
         start = time.perf_counter()
-        attach = getattr(self.platform, "attach_observers", None)
-        if attach is not None:
-            attach(self.observers)
         fitness = QualificationFitness(
             program,
             self.threads,

@@ -13,16 +13,13 @@ Phenom II experiment of Section V.C).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import SearchError
 from repro.isa.instruction import make_independent
 from repro.isa.kernels import ThreadProgram, build_kernel
 from repro.isa.opcodes import OpcodeTable
 from repro.core.platform import MeasurementPlatform
-from repro.core.telemetry import PhaseEvent, RunObserver, notify
 from repro.pipeline.artifacts import MeasureRequest
 
 #: Loop-trip count for probe programs (steady state is what matters).
@@ -93,7 +90,6 @@ def find_resonance(
     threads: int = 1,
     period_candidates: list[int] | None = None,
     hp_mnemonic: str | None = None,
-    observers: Sequence[RunObserver] = (),
 ) -> ResonanceSweepResult:
     """Sweep the loop length and return the worst-droop (resonant) shape.
 
@@ -128,16 +124,10 @@ def find_resonance(
 
     # The sweep's probes are independent, so the whole grid ships as one
     # batch: one vectorized PDN solve per compatible probe group.
-    batch_start = time.perf_counter()
     measurements = platform.measure_programs([
         MeasureRequest(program=program, threads=threads)
         for _lp_nops, program in probes
     ])
-    notify(observers, PhaseEvent(
-        name="resonance-probe-batch",
-        wall_s=time.perf_counter() - batch_start,
-        detail=f"{len(probes)} probes batched",
-    ))
 
     points: list[ResonancePoint] = []
     best: ResonancePoint | None = None

@@ -2,11 +2,14 @@
 
 On the paper's testbed every fitness call is a multi-second oscilloscope
 capture, so knowing *where the time goes* is the difference between an
-overnight run and a week.  The reproduction keeps the same discipline: the
-evaluation engine and the GA emit structured events (per evaluation, per
-generation, per loop phase) through the :class:`RunObserver` protocol, and
-the measurement platform keeps aggregate counters (simulator vs. PDN-solve
-time, cache hits, measurement path taken).
+overnight run and a week.  The reproduction keeps the same discipline:
+anything with a duration — a loop phase, a GA generation, a checkpoint
+write, a pipeline stage — is a trace span (:mod:`repro.obs.spans`) whose
+attributes carry what happened, and the remaining event kinds record
+point-in-time results (an evaluation scored, a fault, a shard finished).
+Both reach observers through the :class:`RunObserver` protocol; the
+measurement platform keeps aggregate counters (simulator vs. PDN-solve
+time, cache hits, measurement path taken) in its own registry.
 
 Observers are deliberately dumb sinks: :class:`ConsoleObserver` narrates
 progress, :class:`JsonlObserver` appends machine-readable lines, and
@@ -46,32 +49,6 @@ class EvaluationEvent:
 
 
 @dataclass(frozen=True)
-class GenerationEvent:
-    """One GA generation scored as a batch."""
-
-    generation: int
-    best_fitness: float
-    mean_fitness: float
-    evaluations_so_far: int
-    batch_size: int
-    batch_new: int
-    wall_s: float
-
-    kind = "generation"
-
-
-@dataclass(frozen=True)
-class PhaseEvent:
-    """One phase of the closed loop (resonance sweep, GA, final measure)."""
-
-    name: str
-    wall_s: float
-    detail: str = ""
-
-    kind = "phase"
-
-
-@dataclass(frozen=True)
 class FaultEvent:
     """One failed evaluation attempt (retried or quarantined)."""
 
@@ -87,17 +64,6 @@ class FaultEvent:
 
 
 @dataclass(frozen=True)
-class CheckpointEvent:
-    """One campaign snapshot written to the checkpoint store."""
-
-    generation: int
-    path: str
-    wall_s: float
-
-    kind = "checkpoint"
-
-
-@dataclass(frozen=True)
 class InvariantEvent:
     """One runtime invariant guard fired on corrupt numerics."""
 
@@ -107,28 +73,6 @@ class InvariantEvent:
     genome: str = ""
 
     kind = "invariant"
-
-
-@dataclass(frozen=True)
-class StageEvent:
-    """One measurement-pipeline stage executed for a candidate.
-
-    The pipeline (``repro.pipeline``) emits one of these per stage per
-    measurement: ``compile`` → ``activity`` → ``pdn`` → ``analyze``.  The
-    activity event carries the dispatch ``path`` (periodic / jittered /
-    transient) and, when the transient fallback fired, the reason in
-    ``detail`` — a fallback is a modelling event worth narrating, not a
-    silent counter bump.
-    """
-
-    stage: str
-    wall_s: float
-    cache_hit: bool = False
-    batched: bool = False
-    path: str = ""
-    detail: str = ""
-
-    kind = "stage"
 
 
 @dataclass(frozen=True)
@@ -279,9 +223,9 @@ class SpanEvent:
 
 
 TelemetryEvent = (
-    EvaluationEvent | GenerationEvent | PhaseEvent | FaultEvent | CheckpointEvent
-    | InvariantEvent | QualificationEvent | StageEvent | PlatformMetricsEvent
-    | ShardEvent | FleetEvent | SupervisorEvent | RegistryEvent | SpanEvent
+    EvaluationEvent | FaultEvent | InvariantEvent | QualificationEvent
+    | PlatformMetricsEvent | ShardEvent | FleetEvent | SupervisorEvent
+    | RegistryEvent | SpanEvent
 )
 
 #: Every concrete event class, keyed by its ``kind`` tag.  The telemetry
@@ -291,12 +235,27 @@ TelemetryEvent = (
 EVENT_TYPES: dict = {
     cls.kind: cls
     for cls in (
-        EvaluationEvent, GenerationEvent, PhaseEvent, FaultEvent,
-        CheckpointEvent, InvariantEvent, QualificationEvent, StageEvent,
+        EvaluationEvent, FaultEvent, InvariantEvent, QualificationEvent,
         PlatformMetricsEvent, ShardEvent, FleetEvent, SupervisorEvent,
         RegistryEvent, SpanEvent,
     )
 }
+
+#: Pipeline-stage spans, by span name, and the stage each one times.
+#: Their ``cache_hit``, ``fallback`` (transient-fallback reason) and
+#: ``batched`` attributes are the stage facts the sinks below and the
+#: trace analyzer report.
+STAGE_SPANS = {"pipeline.activity": "activity", "pipeline.pdn_solve": "pdn"}
+
+
+def phase_of(span_name: str) -> str:
+    """The closed-loop phase an ``audit.<phase>`` span times, else "".
+
+    The ``audit.campaign`` root is the whole run, not a phase.
+    """
+    if span_name.startswith("audit.") and span_name != "audit.campaign":
+        return span_name[len("audit."):]
+    return ""
 
 
 def event_to_dict(event: TelemetryEvent) -> dict:
@@ -335,17 +294,7 @@ class ConsoleObserver:
         self.verbose = verbose
 
     def on_event(self, event: TelemetryEvent) -> None:
-        if isinstance(event, GenerationEvent):
-            self.stream.write(
-                f"[gen {event.generation:3d}] best {event.best_fitness:.5f}  "
-                f"mean {event.mean_fitness:.5f}  "
-                f"new {event.batch_new}/{event.batch_size}  "
-                f"{event.wall_s:.2f}s\n"
-            )
-        elif isinstance(event, PhaseEvent):
-            detail = f" ({event.detail})" if event.detail else ""
-            self.stream.write(f"[phase] {event.name}{detail}  {event.wall_s:.2f}s\n")
-        elif isinstance(event, FaultEvent):
+        if isinstance(event, FaultEvent):
             # Quarantines always narrate (a genome just lost its fitness);
             # transient retried faults only in verbose mode.
             if event.action == "quarantine" or self.verbose:
@@ -353,11 +302,6 @@ class ConsoleObserver:
                     f"[fault/{event.action}] attempt {event.attempt}: "
                     f"{event.error}\n"
                 )
-        elif isinstance(event, CheckpointEvent):
-            self.stream.write(
-                f"[checkpoint] gen {event.generation:3d} -> {event.path}  "
-                f"{event.wall_s * 1e3:.1f}ms\n"
-            )
         elif isinstance(event, InvariantEvent):
             self.stream.write(
                 f"[invariant/{event.layer}] {event.guard}: {event.error}\n"
@@ -374,18 +318,6 @@ class ConsoleObserver:
                     f"[{event.min_droop_v * 1e3:.2f}, "
                     f"{event.max_droop_v * 1e3:.2f}] mV  "
                     f"retention {event.retention:.2f}\n"
-                )
-        elif isinstance(event, StageEvent):
-            # Fallbacks (non-empty detail) always narrate; routine stage
-            # timings only in verbose mode.
-            if event.detail or self.verbose:
-                path = f"/{event.path}" if event.path else ""
-                batched = " (batched)" if event.batched else ""
-                cached = " (cached)" if event.cache_hit else ""
-                detail = f": {event.detail}" if event.detail else ""
-                self.stream.write(
-                    f"[stage/{event.stage}{path}]{batched}{cached} "
-                    f"{event.wall_s * 1e3:.1f}ms{detail}\n"
                 )
         elif isinstance(event, SupervisorEvent):
             # Supervision actions always narrate: a killed worker or a
@@ -449,14 +381,57 @@ class ConsoleObserver:
                 f"[eval/{tag}] {event.fitness:.5f}  {event.wall_s * 1e3:.1f}ms\n"
             )
         elif isinstance(event, SpanEvent):
+            line = self._span_line(event)
             # Lost spans always narrate (a worker died holding them);
-            # routine span closures only in verbose mode.
-            if event.status == "lost" or self.verbose:
-                self.stream.write(
-                    f"[span/{event.status}] {event.name}  "
-                    f"{event.wall_s * 1e3:.1f}ms\n"
-                )
+            # other span closures only in verbose mode.
+            if line is None and (event.status == "lost" or self.verbose):
+                line = (f"[span/{event.status}] {event.name}  "
+                        f"{event.wall_s * 1e3:.1f}ms")
+            if line is not None:
+                self.stream.write(line + "\n")
         self.stream.flush()
+
+    def _span_line(self, event: SpanEvent) -> str | None:
+        """The progress line a finished span narrates, if it has one.
+
+        A span gets its line only once its body filled in the attributes
+        the line reads, so a span that raised stays quiet.
+        """
+        attrs = event.attrs
+        if event.name == "ga.generation" and "best_fitness" in attrs:
+            return (
+                f"[gen {attrs['generation']:3d}] "
+                f"best {attrs['best_fitness']:.5f}  "
+                f"mean {attrs['mean_fitness']:.5f}  "
+                f"new {attrs['batch_new']}/{attrs['population']}  "
+                f"{event.wall_s:.2f}s"
+            )
+        if event.name == "checkpoint.save" and "path" in attrs:
+            return (
+                f"[checkpoint] gen {attrs['generation']:3d} -> {attrs['path']}  "
+                f"{event.wall_s * 1e3:.1f}ms"
+            )
+        phase = phase_of(event.name)
+        if phase and "detail" in attrs:
+            detail = f" ({attrs['detail']})" if attrs["detail"] else ""
+            return f"[phase] {phase}{detail}  {event.wall_s:.2f}s"
+        stage = STAGE_SPANS.get(event.name)
+        if stage is None or "path" not in attrs:
+            return None
+        # Transient fallbacks and batched solves always narrate; routine
+        # stage timings only in verbose mode.
+        if attrs.get("fallback"):
+            detail = f": {attrs['fallback']}"
+        elif attrs.get("batched"):
+            detail = f": {attrs['rows']} rows"
+        elif self.verbose:
+            detail = ""
+        else:
+            return None
+        batched = " (batched)" if attrs.get("batched") else ""
+        cached = " (cached)" if attrs.get("cache_hit") else ""
+        return (f"[stage/{stage}/{attrs['path']}]{batched}{cached} "
+                f"{event.wall_s * 1e3:.1f}ms{detail}")
 
 
 class RecentEventsObserver:
@@ -473,10 +448,12 @@ class RecentEventsObserver:
         self._events: deque = deque(maxlen=limit)
 
     def on_event(self, event: TelemetryEvent) -> None:
-        self._events.append(event_to_dict(event))
+        # Events are frozen: keep them as-is and render dicts only when a
+        # crash report asks, not once per span of every healthy run.
+        self._events.append(event)
 
     def tail(self) -> list[dict]:
-        return list(self._events)
+        return [event_to_dict(event) for event in self._events]
 
 
 class JsonlObserver:
@@ -531,9 +508,14 @@ class TelemetryCollector:
     """Folds the event stream into one :class:`MetricsRegistry`.
 
     Every number the summary table reports is a counter in
-    :attr:`metrics`, named by the rule in :mod:`repro.obs.metrics`
-    (``engine.evaluations``, ``phase.wall_s.ga-search``,
-    ``supervisor.hang-kill`` …).  Collectors merge through the registry,
+    :attr:`metrics` (or, for the platform rows, in the platform's
+    registry), named by the rule in :mod:`repro.obs.metrics`
+    (``engine.evaluations``, ``span.wall_s.audit.ga-search``,
+    ``supervisor.hang-kill`` …).  Spans count by name, so the generation
+    count is ``span.count.ga.generation`` and a phase's time is
+    ``span.wall_s.audit.<phase>``; stage spans add their attribute facts
+    (``stage.cache_hits.<stage>``, ``stage.fallbacks``,
+    ``stage.batched_solves``).  Collectors merge through the registry,
     so per-worker or per-shard collectors fold together in any order.
     """
 
@@ -551,18 +533,11 @@ class TelemetryCollector:
             else:
                 inc("engine.evaluations")
                 inc("engine.eval_wall_s", event.wall_s)
-        elif isinstance(event, GenerationEvent):
-            inc("ga.generations")
-        elif isinstance(event, PhaseEvent):
-            inc(f"phase.wall_s.{event.name}", event.wall_s)
         elif isinstance(event, FaultEvent):
             inc("fault.quarantines" if event.action == "quarantine"
                 else "fault.retries")
             if event.timeout:
                 inc("fault.timeouts")
-        elif isinstance(event, CheckpointEvent):
-            inc("checkpoint.writes")
-            inc("checkpoint.wall_s", event.wall_s)
         elif isinstance(event, InvariantEvent):
             inc("invariant.violations")
             inc(f"invariant.guard.{event.layer}/{event.guard}")
@@ -572,14 +547,6 @@ class TelemetryCollector:
                 inc(f"qualify.verdict.{event.verdict}")
             else:
                 inc("qualify.axes")
-        elif isinstance(event, StageEvent):
-            inc(f"stage.wall_s.{event.stage}", event.wall_s)
-            if event.cache_hit:
-                inc(f"stage.cache_hits.{event.stage}")
-            if event.path == "transient" and event.detail:
-                inc("stage.fallbacks")
-            if event.batched and event.stage == "pdn":
-                inc("stage.batched_solves")
         elif isinstance(event, ShardEvent):
             if event.status in ("ok", "failed"):
                 inc("shard.done" if event.status == "ok" else "shard.failed")
@@ -605,6 +572,15 @@ class TelemetryCollector:
             inc(f"span.wall_s.{event.name}", event.wall_s)
             if event.status == "lost":
                 inc("span.lost")
+            stage = STAGE_SPANS.get(event.name)
+            if stage is not None:
+                attrs = event.attrs
+                if attrs.get("cache_hit"):
+                    inc(f"stage.cache_hits.{stage}")
+                if attrs.get("fallback"):
+                    inc("stage.fallbacks")
+                if attrs.get("batched"):
+                    inc("stage.batched_solves")
 
     # ------------------------------------------------------------------
     def merge(self, other: "TelemetryCollector") -> "TelemetryCollector":
@@ -652,7 +628,7 @@ class TelemetryCollector:
             ("fitness cache hit rate", f"{self.cache_hit_rate * 100:.1f} %"),
             ("evaluation wall time", f"{count('engine.eval_wall_s'):.2f} s"),
             ("evaluations / second", f"{self.evals_per_second:.1f}"),
-            ("generations", count("ga.generations")),
+            ("generations", count("span.count.ga.generation")),
             ("fault retries", count("fault.retries")),
             ("quarantined genomes", count("fault.quarantines")),
         ]
@@ -712,16 +688,21 @@ class TelemetryCollector:
             if salvaged:
                 rows.append(("registry indexes salvaged", salvaged))
             rows.append(("registry wall time", f"{count('registry.wall_s'):.2f} s"))
-        if count("checkpoint.writes"):
-            rows.append(("checkpoints written", count("checkpoint.writes")))
+        if count("span.count.checkpoint.save"):
+            rows.append(("checkpoints written",
+                         count("span.count.checkpoint.save")))
             rows.append(("checkpoint wall time",
-                         f"{count('checkpoint.wall_s'):.2f} s"))
-        for name, wall in metrics.family("phase.wall_s").items():
-            rows.append((f"phase: {name}", f"{wall:.2f} s"))
-        for name, wall in metrics.family("stage.wall_s").items():
-            hits = count(f"stage.cache_hits.{name}")
-            cached = f" ({hits} cached)" if hits else ""
-            rows.append((f"stage: {name}", f"{wall:.2f} s{cached}"))
+                         f"{count('span.wall_s.checkpoint.save'):.2f} s"))
+        for name, wall in metrics.family("span.wall_s").items():
+            if phase := phase_of(name):
+                rows.append((f"phase: {phase}", f"{wall:.2f} s"))
+        if platform_metrics is not None:
+            # Every stage is timed in the platform registry; the cache
+            # hits come from the stage spans' attributes.
+            for name, wall in platform_metrics.family("pipeline.wall_s").items():
+                hits = count(f"stage.cache_hits.{name}")
+                cached = f" ({hits} cached)" if hits else ""
+                rows.append((f"stage: {name}", f"{wall:.2f} s{cached}"))
         spans = metrics.family("span.count")
         if spans:
             rows.append(("trace spans", sum(spans.values())))

@@ -12,7 +12,7 @@ cannot drift between subsystems.
 Names are dotted, ``<layer>.<counter>`` or ``<layer>.<counter>.<key>``
 (``pipeline.path.periodic``).  A counter that sums wall-clock seconds has
 a name segment ending in ``_s`` (``engine.eval_wall_s``,
-``phase.wall_s.ga-search``); :func:`is_wall_clock` tells them apart, and
+``span.wall_s.ga.generation``); :func:`is_wall_clock` tells them apart, and
 everything else is a deterministic count that a seeded campaign
 reproduces exactly, serial or under ``--workers N``.
 

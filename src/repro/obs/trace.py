@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.report import format_kv_table, format_table
+from repro.core.telemetry import STAGE_SPANS
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 
@@ -157,7 +158,6 @@ class TraceAnalysis:
     tree: SpanTree
     evaluations: int = 0
     cache_hits: int = 0
-    generations: int = 0
     eval_wall_s: float = 0.0
     stage_cache_hits: dict = field(default_factory=dict)
     platform_counters: dict = field(default_factory=dict)
@@ -172,6 +172,10 @@ class TraceAnalysis:
     @property
     def total_spans(self) -> int:
         return sum(self.span_counts.values())
+
+    @property
+    def generations(self) -> int:
+        return self.span_counts.get("ga.generation", 0)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -215,7 +219,7 @@ def analyze_trace(path) -> TraceAnalysis:
     events = load_events(path)
     events_by_kind: dict = {}
     span_rows = []
-    evaluations = cache_hits = generations = 0
+    evaluations = cache_hits = 0
     eval_wall_s = 0.0
     stage_cache_hits: dict = {}
     platform_counters: dict = {}
@@ -226,17 +230,15 @@ def analyze_trace(path) -> TraceAnalysis:
         events_by_kind[kind] = events_by_kind.get(kind, 0) + 1
         if kind == "span":
             span_rows.append(row)
+            stage = STAGE_SPANS.get(row.get("name"))
+            if stage is not None and (row.get("attrs") or {}).get("cache_hit"):
+                stage_cache_hits[stage] = stage_cache_hits.get(stage, 0) + 1
         elif kind == "evaluation":
             if row.get("cached"):
                 cache_hits += 1
             else:
                 evaluations += 1
                 eval_wall_s += float(row.get("wall_s", 0.0))
-        elif kind == "generation":
-            generations += 1
-        elif kind == "stage" and row.get("cache_hit"):
-            stage = row.get("stage", "?")
-            stage_cache_hits[stage] = stage_cache_hits.get(stage, 0) + 1
         elif kind == "platform-stats":
             for key, value in (row.get("counters") or {}).items():
                 if isinstance(value, (int, float)):
@@ -270,7 +272,6 @@ def analyze_trace(path) -> TraceAnalysis:
         tree=tree,
         evaluations=evaluations,
         cache_hits=cache_hits,
-        generations=generations,
         eval_wall_s=eval_wall_s,
         stage_cache_hits=stage_cache_hits,
         platform_counters=platform_counters,

@@ -2,10 +2,14 @@
 
 ``MeasurementPipeline`` wires the four stages together, counts into one
 :class:`~repro.obs.metrics.MetricsRegistry` (``pipeline.*`` and, from
-the chip simulator, ``uarch.*``), times every stage, and emits one
-:class:`~repro.core.telemetry.StageEvent` per stage per measurement.  ``measure(requests)`` is the only entry point: it runs
-compile/activity per request, then groups requests whose PDN rows stack
-into a rectangular matrix and solves each group in a single scipy call.
+the chip simulator, ``uarch.*``), and times every stage.  Under a
+tracer each measurement is a ``pipeline.measure`` span with a
+``pipeline.activity`` span inside it (dispatch path, cache hit, and the
+reason for a transient fallback), and every PDN solve is a
+``pipeline.pdn_solve`` span.  ``measure(requests)`` is the only entry
+point: it runs compile/activity per request, then groups requests whose
+PDN rows stack into a rectangular matrix and solves each group in a
+single scipy call.
 The pipeline is the default :class:`~repro.core.platform.MeasurementBackend`.
 """
 
@@ -15,7 +19,6 @@ import time
 
 import numpy as np
 
-from repro.core.telemetry import StageEvent, notify
 from repro.errors import ConfigurationError, MeasurementError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import span
@@ -49,7 +52,6 @@ class MeasurementPipeline:
         jitter_seed: int = DEFAULT_JITTER_SEED,
         jitter_step_cycles: int | None = None,
         activity: ActivityStage | None = None,
-        observers=(),
     ):
         if abs(pdn.vdd_nominal - chip.vdd) > 1e-9:
             raise ConfigurationError(
@@ -75,7 +77,6 @@ class MeasurementPipeline:
             metrics=self.metrics,
         )
         self.analyze = AnalyzeStage()
-        self.observers = tuple(observers)
 
     # ------------------------------------------------------------------
     # Measurement
@@ -119,12 +120,7 @@ class MeasurementPipeline:
             with span("pipeline.pdn_solve", path=path, batched=True,
                       rows=len(indices)):
                 solved = self.pdn_stage.run_batch([prepared[i] for i in indices])
-            wall = time.perf_counter() - start
-            self.metrics.inc("pipeline.wall_s.pdn", wall)
-            self._stage_event(
-                "pdn", wall, batched=True, path=path,
-                detail=f"{len(indices)} rows",
-            )
+            self.metrics.inc("pipeline.wall_s.pdn", time.perf_counter() - start)
             for idx, response in zip(indices, solved):
                 responses[idx] = response
 
@@ -132,9 +128,8 @@ class MeasurementPipeline:
         for (profile, _phases, _supply), response in zip(prepared, responses):
             start = time.perf_counter()
             measurements.append(self.analyze.run(profile, response))
-            wall = time.perf_counter() - start
-            self.metrics.inc("pipeline.wall_s.analyze", wall)
-            self._stage_event("analyze", wall)
+            self.metrics.inc("pipeline.wall_s.analyze",
+                             time.perf_counter() - start)
         return measurements
 
     #: The :class:`~repro.core.platform.MeasurementBackend` protocol name.
@@ -163,9 +158,7 @@ class MeasurementPipeline:
             self.pdn_stage.solver_at(supply).simulate,
             current, baseline_current_a=baseline,
         )
-        wall = time.perf_counter() - start
-        self.metrics.inc("pipeline.wall_s.pdn", wall)
-        self._stage_event("pdn", wall, path="external")
+        self.metrics.inc("pipeline.wall_s.pdn", time.perf_counter() - start)
         sens = (
             np.ones(len(current)) if sensitivity is None else
             np.asarray(sensitivity, dtype=np.float64)
@@ -198,21 +191,19 @@ class MeasurementPipeline:
     def _profile_for(self, request: MeasureRequest):
         start = time.perf_counter()
         compiled = self.compile.run(request)
-        wall = time.perf_counter() - start
-        self.metrics.inc("pipeline.wall_s.compile", wall)
-        self._stage_event("compile", wall)
+        self.metrics.inc("pipeline.wall_s.compile", time.perf_counter() - start)
 
         start = time.perf_counter()
         hits_before = self.activity.cache.hits
-        profile = self.activity.run(compiled)
-        wall = time.perf_counter() - start
-        self.metrics.inc("pipeline.wall_s.activity", wall)
-        self._stage_event(
-            "activity", wall,
-            cache_hit=self.activity.cache.hits > hits_before,
-            path=profile.path,
-            detail=profile.fallback_reason,
-        )
+        with span("pipeline.activity") as activity_span:
+            profile = self.activity.run(compiled)
+            activity_span.set(
+                path=profile.path,
+                cache_hit=self.activity.cache.hits > hits_before,
+            )
+            if profile.fallback_reason:
+                activity_span.set(fallback=profile.fallback_reason)
+        self.metrics.inc("pipeline.wall_s.activity", time.perf_counter() - start)
         return profile
 
     def _timed_pdn(self, profile, phases, supply):
@@ -221,15 +212,5 @@ class MeasurementPipeline:
         with span("pipeline.pdn_solve", path=profile.path) as solve_span:
             response = self.pdn_stage.run(profile, phases=phases, supply=supply)
             solve_span.set(cache_hit=self.pdn_stage.cache.hits > hits_before)
-        wall = time.perf_counter() - start
-        self.metrics.inc("pipeline.wall_s.pdn", wall)
-        self._stage_event(
-            "pdn", wall,
-            cache_hit=self.pdn_stage.cache.hits > hits_before,
-            path=profile.path,
-        )
+        self.metrics.inc("pipeline.wall_s.pdn", time.perf_counter() - start)
         return response
-
-    def _stage_event(self, stage, wall_s, **kwargs):
-        if self.observers:
-            notify(self.observers, StageEvent(stage=stage, wall_s=wall_s, **kwargs))

@@ -141,7 +141,7 @@ def telemetry_summary(collector) -> dict:
         "evaluations": metrics.counter("engine.evaluations"),
         "cache_hits": metrics.counter("engine.cache_hits"),
         "eval_wall_s": round(float(metrics.counter("engine.eval_wall_s")), 3),
-        "generations": metrics.counter("ga.generations"),
+        "generations": metrics.counter("span.count.ga.generation"),
     }
     span_counts = metrics.family("span.count")
     if span_counts:

@@ -18,14 +18,19 @@ import pytest
 from repro.core.audit import AuditConfig, AuditRunner
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.ga import GaConfig, GaSnapshot, GeneticAlgorithm
-from repro.core.telemetry import CheckpointEvent, GenerationEvent
+from repro.core.telemetry import SpanEvent
 from repro.errors import CheckpointError, SearchError
 from repro.experiments.setup import bulldozer_testbed
+from repro.obs.spans import Tracer, tracing
 
 CONFIG = AuditConfig(
     threads=2,
     ga=GaConfig(population_size=6, generations=3, seed=1),
 )
+
+
+def spans_named(events, name):
+    return [e for e in events if isinstance(e, SpanEvent) and e.name == name]
 
 
 class CrashAfter:
@@ -39,11 +44,11 @@ class CrashAfter:
         self.seen = 0
 
     def on_event(self, event):
-        if isinstance(event, GenerationEvent):
+        if isinstance(event, SpanEvent) and event.name == "ga.generation":
             self.seen += 1
             if self.seen >= self.generations:
                 raise self.Boom(f"injected crash after generation "
-                                f"{event.generation}")
+                                f"{event.attrs['generation']}")
 
 
 class RecordingObserver:
@@ -59,18 +64,21 @@ def run_uninterrupted(checkpoint=None):
     return runner.run(checkpoint=checkpoint)
 
 
+def run_traced(observer, **kwargs):
+    """A campaign whose spans reach *observer* (generations are spans)."""
+    runner = AuditRunner(bulldozer_testbed(), config=CONFIG)
+    with tracing(Tracer([observer])):
+        return runner.run(**kwargs)
+
+
 class TestInjectedCrashResume:
     @pytest.mark.parametrize("crash_after", [1, 2])
     def test_resume_matches_uninterrupted(self, tmp_path, crash_after):
         control = run_uninterrupted()
 
         store = CampaignCheckpoint(tmp_path / "campaign")
-        crasher = CrashAfter(crash_after)
-        runner = AuditRunner(
-            bulldozer_testbed(), config=CONFIG, observers=[crasher]
-        )
         with pytest.raises(CrashAfter.Boom):
-            runner.run(checkpoint=store)
+            run_traced(CrashAfter(crash_after), checkpoint=store)
         # The run died mid-campaign with at least one snapshot on disk.
         banked = store.load()
         assert banked is not None
@@ -91,13 +99,15 @@ class TestInjectedCrashResume:
     ):
         store = CampaignCheckpoint(tmp_path)
         observer = RecordingObserver()
-        runner = AuditRunner(
-            bulldozer_testbed(), config=CONFIG, observers=[observer]
-        )
-        runner.run(checkpoint=store)
-        checkpoints = [e for e in observer.events
-                       if isinstance(e, CheckpointEvent)]
-        assert [e.generation for e in checkpoints] == [0, 1, 2]
+        run_traced(observer, checkpoint=store)
+        checkpoints = spans_named(observer.events, "checkpoint.save")
+        assert [e.attrs["generation"] for e in checkpoints] == [0, 1, 2]
+        assert {e.attrs["path"] for e in checkpoints} == {str(store.state_path)}
+        # Each snapshot lands at the top of its generation, before scoring.
+        generations = spans_named(observer.events, "ga.generation")
+        assert [e.attrs["generation"] for e in generations] == [0, 1, 2]
+        for saved, scored in zip(checkpoints, generations):
+            assert saved.t0_s + saved.wall_s <= scored.t0_s
         journal = [json.loads(line)
                    for line in store.journal_path.read_text().splitlines()]
         assert [line["generation"] for line in journal] == [0, 1, 2]
@@ -105,12 +115,8 @@ class TestInjectedCrashResume:
     def test_resume_serves_banked_generations_from_cache(self, tmp_path):
         """Re-scoring the crashed generation costs no extra evaluations."""
         store = CampaignCheckpoint(tmp_path)
-        crasher = CrashAfter(2)
-        runner = AuditRunner(
-            bulldozer_testbed(), config=CONFIG, observers=[crasher]
-        )
         with pytest.raises(CrashAfter.Boom):
-            runner.run(checkpoint=store)
+            run_traced(CrashAfter(2), checkpoint=store)
         control = run_uninterrupted()
         resumed = AuditRunner(bulldozer_testbed(), config=CONFIG).run(
             checkpoint=store, resume=True
@@ -130,12 +136,8 @@ class TestInjectedCrashResume:
 
     def test_resume_rejects_population_size_mismatch(self, tmp_path):
         store = CampaignCheckpoint(tmp_path)
-        crasher = CrashAfter(1)
-        runner = AuditRunner(
-            bulldozer_testbed(), config=CONFIG, observers=[crasher]
-        )
         with pytest.raises(CrashAfter.Boom):
-            runner.run(checkpoint=store)
+            run_traced(CrashAfter(1), checkpoint=store)
         bigger = AuditConfig(
             threads=2, ga=GaConfig(population_size=8, generations=3, seed=1)
         )
@@ -149,7 +151,7 @@ class TestGaLevelResume:
     """The GA snapshot contract, isolated from the AUDIT plumbing."""
 
     @staticmethod
-    def make_ga(fitness, observers=()):
+    def make_ga(fitness):
         return GeneticAlgorithm(
             random_fn=lambda rng: int(rng.integers(0, 1000)),
             mutate_fn=lambda g, rng, rate: int(
@@ -158,7 +160,6 @@ class TestGaLevelResume:
             fitness_fn=fitness,
             config=GaConfig(population_size=8, generations=10, seed=4,
                             stagnation_patience=50),
-            observers=observers,
         )
 
     @staticmethod

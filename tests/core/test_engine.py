@@ -20,9 +20,8 @@ from repro.core.platform import Measurement, MeasurementPlatform
 from repro.core.telemetry import (
     ConsoleObserver,
     EvaluationEvent,
-    GenerationEvent,
     JsonlObserver,
-    PhaseEvent,
+    SpanEvent,
     TelemetryCollector,
 )
 from repro.errors import ConfigurationError
@@ -419,6 +418,11 @@ class TestPlatformTelemetry:
 # ----------------------------------------------------------------------
 # Observer sinks
 # ----------------------------------------------------------------------
+def _span(name, wall_s, **attrs):
+    return SpanEvent(name=name, trace_id="t", span_id=name, parent_id="",
+                     t0_s=0.0, wall_s=wall_s, attrs=attrs)
+
+
 class TestObserverSinks:
     def events(self):
         return [
@@ -426,11 +430,18 @@ class TestObserverSinks:
                             cached=False, backend="serial"),
             EvaluationEvent(genome="g0", fitness=0.07, wall_s=0.0,
                             cached=True, backend="serial"),
-            GenerationEvent(generation=0, best_fitness=0.07, mean_fitness=0.05,
-                            evaluations_so_far=12, batch_size=12, batch_new=12,
-                            wall_s=1.5),
-            PhaseEvent(name="resonance-sweep", wall_s=2.0, detail="16 probes"),
+            _span("ga.generation", 1.5, generation=0, population=12,
+                  best_fitness=0.07, mean_fitness=0.05, batch_new=12,
+                  evaluations_so_far=12),
+            _span("audit.resonance-sweep", 2.0, detail="16 probes"),
         ]
+
+    def console(self, events, *, verbose=False):
+        stream = io.StringIO()
+        observer = ConsoleObserver(stream, verbose=verbose)
+        for event in events:
+            observer.on_event(event)
+        return stream.getvalue().splitlines()
 
     def test_jsonl_observer_round_trips(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -439,10 +450,10 @@ class TestObserverSinks:
                 sink.on_event(event)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [line["kind"] for line in lines] == [
-            "evaluation", "evaluation", "generation", "phase"
+            "evaluation", "evaluation", "span", "span"
         ]
-        assert lines[2]["batch_size"] == 12
-        assert lines[3]["name"] == "resonance-sweep"
+        assert lines[2]["attrs"]["population"] == 12
+        assert lines[3]["name"] == "audit.resonance-sweep"
 
     def test_console_observer_writes_generations_and_phases(self):
         stream = io.StringIO()
@@ -453,6 +464,51 @@ class TestObserverSinks:
         assert "gen   0" in out
         assert "resonance-sweep" in out
         assert "eval" not in out  # quiet unless verbose
+
+    def test_console_renders_progress_lines_from_spans(self):
+        lines = self.console([
+            *self.events(),
+            _span("checkpoint.save", 0.0092, generation=1,
+                  path="ck/state.json"),
+            _span("pipeline.activity", 0.0125, path="transient",
+                  cache_hit=False,
+                  fallback="not periodic within 8 iterations"),
+            _span("pipeline.activity", 0.004, path="transient",
+                  cache_hit=True, fallback="not periodic within 8 iterations"),
+            _span("pipeline.pdn_solve", 0.002, path="periodic", batched=True,
+                  rows=3),
+            _span("audit.final-measurement", 0.11, detail="A-Res at 2T"),
+        ])
+        assert lines == [
+            "[gen   0] best 0.07000  mean 0.05000  new 12/12  1.50s",
+            "[phase] resonance-sweep (16 probes)  2.00s",
+            "[checkpoint] gen   1 -> ck/state.json  9.2ms",
+            "[stage/activity/transient] 12.5ms: "
+            "not periodic within 8 iterations",
+            "[stage/activity/transient] (cached) 4.0ms: "
+            "not periodic within 8 iterations",
+            "[stage/pdn/periodic] (batched) 2.0ms: 3 rows",
+            "[phase] final-measurement (A-Res at 2T)  0.11s",
+        ]
+
+    def test_console_keeps_routine_and_unfinished_spans_quiet(self):
+        quiet = [
+            # routine stages, the campaign root, and spans whose body
+            # raised before filling in their attributes
+            _span("pipeline.activity", 0.01, path="periodic", cache_hit=False),
+            _span("pipeline.pdn_solve", 0.001, path="periodic",
+                  cache_hit=True),
+            _span("audit.campaign", 5.0, mode="resonant"),
+            _span("ga.generation", 1.0, generation=3, population=6),
+            _span("checkpoint.save", 0.01, generation=3),
+            _span("audit.ga-search", 1.0, generations=4),
+        ]
+        assert self.console(quiet) == []
+        verbose = self.console(quiet[:2], verbose=True)
+        assert verbose == [
+            "[stage/activity/periodic] 10.0ms",
+            "[stage/pdn/periodic] (cached) 1.0ms",
+        ]
 
     def test_console_observer_verbose_includes_evaluations(self):
         stream = io.StringIO()
@@ -470,9 +526,8 @@ class TestObserverSinks:
         assert count("engine.evaluations") == 1
         assert count("engine.cache_hits") == 1
         assert collector.cache_hit_rate == pytest.approx(0.5)
-        assert count("ga.generations") == 1
-        assert (collector.metrics.family("phase.wall_s")["resonance-sweep"]
-                == pytest.approx(2.0))
+        assert count("span.count.ga.generation") == 1
+        assert count("span.wall_s.audit.resonance-sweep") == pytest.approx(2.0)
         platform = MetricsRegistry()
         for name, value in (
             ("pipeline.measurements", 5), ("uarch.module_runs", 2),

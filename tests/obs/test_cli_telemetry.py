@@ -97,15 +97,20 @@ class TestCompare:
     def test_divergent_trace_fails_the_check(self, trace, tmp_path, capsys):
         doctored = tmp_path / "doctored.jsonl"
         lines = trace.read_text().splitlines()
-        kept_one_generation = [
-            line for line in lines
-            if json.loads(line).get("kind") != "generation"
-        ][: len(lines) - 1]
-        doctored.write_text("\n".join(kept_one_generation) + "\n")
+        first_generation = next(
+            index for index, line in enumerate(lines)
+            if json.loads(line).get("name") == "ga.generation"
+        )
+        del lines[first_generation]
+        doctored.write_text("\n".join(lines) + "\n")
         code = main(["telemetry", "compare", str(trace), str(doctored),
                      "--check"])
         assert code == 1
-        assert "MISMATCH" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "MISMATCH" in out
+        generations = next(line for line in out.splitlines()
+                           if line.startswith("generations "))
+        assert generations.split()[1:] == ["2", "1", "MISMATCH"]
 
     def test_without_check_mismatches_only_report(self, trace, tmp_path,
                                                   capsys):
@@ -140,3 +145,25 @@ class TestAuditTelemetrySummary:
         assert main([*AUDIT, "--telemetry"]) == 0
         out = capsys.readouterr().out
         assert "trace spans" in out
+
+
+class TestBenchEvalsTrace:
+    def test_bench_evals_writes_one_clean_campaign_tree(self, tmp_path,
+                                                        capsys):
+        from repro.obs import analyze_trace
+
+        path = tmp_path / "bench.jsonl"
+        assert main(["bench-evals", "--threads", "2", "--population", "4",
+                     "--generations", "1", "--seed", "1",
+                     "--telemetry-out", str(path)]) == 0
+        out = capsys.readouterr().out
+        for row in ("generations ", "phase: ga-search", "stage: activity",
+                    "trace spans"):
+            assert row in out, row
+        analysis = analyze_trace(path)
+        assert [root.name for root in analysis.tree.roots] == ["audit.campaign"]
+        assert analysis.tree.lost == 0
+        assert analysis.tree.orphans == 0
+        assert analysis.generations == 1
+        assert (analysis.span_counts["pipeline.activity"]
+                == analysis.span_counts["pipeline.measure"])

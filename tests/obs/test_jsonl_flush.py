@@ -12,12 +12,17 @@ import json
 
 import pytest
 
-from repro.core.telemetry import JsonlObserver, PhaseEvent
+from repro.core.telemetry import EvaluationEvent, JsonlObserver
 from repro.supervision.shutdown import ShutdownCoordinator
 
 
+def _event(i):
+    return EvaluationEvent(genome=f"g{i}", fitness=float(i), wall_s=float(i),
+                           cached=False, backend="serial")
+
+
 def _events(n):
-    return [PhaseEvent(name=f"phase-{i}", wall_s=float(i)) for i in range(n)]
+    return [_event(i) for i in range(n)]
 
 
 def _lines(path):
@@ -37,7 +42,7 @@ class TestBuffering:
         for event in _events(3):
             observer.on_event(event)
         assert path.read_text() == ""
-        observer.on_event(PhaseEvent(name="fourth", wall_s=0.0))
+        observer.on_event(_event(3))
         assert len(_lines(path)) == 4
 
     def test_flush_drains_a_partial_buffer(self, tmp_path):
@@ -69,7 +74,7 @@ class TestBuffering:
         observer.on_event(_events(1)[0])
         observer.close()
         assert not stream.closed
-        assert json.loads(stream.getvalue())["kind"] == "phase"
+        assert json.loads(stream.getvalue())["kind"] == "evaluation"
 
 
 class TestShutdownDrainFlush:
@@ -107,7 +112,7 @@ class TestShutdownDrainFlush:
         observer.on_event(_events(1)[0])
         reason = coordinator.stop_requested()
         assert reason is not None and "wall-clock" in reason
-        assert any(row["kind"] == "phase" for row in _lines(path))
+        assert any(row["kind"] == "evaluation" for row in _lines(path))
 
     def test_observers_without_flush_are_tolerated(self):
         class Plain:

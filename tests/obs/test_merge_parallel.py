@@ -14,6 +14,7 @@ from repro.core.engine import make_executor
 from repro.core.ga import GaConfig
 from repro.core.telemetry import SupervisorEvent, TelemetryCollector
 from repro.experiments.setup import bulldozer_testbed
+from repro.obs.spans import Tracer, tracing
 
 CONFIG = AuditConfig(
     threads=2,
@@ -23,6 +24,8 @@ CONFIG = AuditConfig(
 
 
 def _run_campaign(workers: int):
+    # Traced: generations (and phases, checkpoints, stages) report only
+    # as spans, so an untraced collector would count 0 of them.
     collector = TelemetryCollector()
     platform = bulldozer_testbed()
     executor = make_executor(workers)
@@ -34,7 +37,8 @@ def _run_campaign(workers: int):
         platform_factory=bulldozer_testbed if workers > 1 else None,
     )
     try:
-        result = runner.run()
+        with tracing(Tracer([collector])):
+            result = runner.run()
     finally:
         executor.close()
     return result, collector, platform
@@ -58,9 +62,12 @@ class TestSerialVsParallelCampaign:
     def test_engine_counters_merge_order_independently(self, runs):
         (_, serial, _), (_, parallel, _) = runs
         for name in ("engine.evaluations", "engine.cache_hits",
-                     "ga.generations", "fault.retries", "fault.quarantines"):
+                     "span.count.ga.generation", "fault.retries",
+                     "fault.quarantines"):
             assert (serial.metrics.counter(name)
                     == parallel.metrics.counter(name)), name
+        # Both runs really traced: 0 == 0 would pass the loop above.
+        assert serial.metrics.counter("span.count.ga.generation") > 0
 
     def test_platform_stats_sums_are_deterministic(self, runs):
         (_, _, serial_platform), (_, _, parallel_platform) = runs
@@ -105,9 +112,9 @@ class TestCollectorMerge:
     def _collector(self, **overrides):
         counters = {
             "engine.evaluations": 3, "engine.cache_hits": 1,
-            "engine.eval_wall_s": 1.5, "ga.generations": 2,
-            "phase.wall_s.ga": 1.0, "fault.quarantines": 1,
-            "stage.wall_s.pdn": 0.5, "stage.cache_hits.pdn": 2,
+            "engine.eval_wall_s": 1.5, "span.count.ga.generation": 2,
+            "span.wall_s.audit.ga-search": 1.0, "fault.quarantines": 1,
+            "span.wall_s.pipeline.pdn_solve": 0.5, "stage.cache_hits.pdn": 2,
             "span.count.worker.eval": 3, "span.wall_s.worker.eval": 2.0,
             "span.lost": 1,
         }
@@ -128,9 +135,10 @@ class TestCollectorMerge:
         assert merged.counter("engine.evaluations") == 6
         assert merged.counter("engine.cache_hits") == 2
         assert merged.counter("engine.eval_wall_s") == pytest.approx(3.0)
-        assert merged.family("phase.wall_s") == {"ga": 2.0}
+        assert merged.counter("span.wall_s.audit.ga-search") == 2.0
         assert merged.family("stage.cache_hits") == {"pdn": 4}
-        assert merged.family("span.count") == {"worker.eval": 6}
+        assert merged.family("span.count") == {"ga.generation": 4,
+                                               "worker.eval": 6}
         assert merged.counter("span.lost") == 2
 
     def test_merge_is_commutative_on_the_counter_snapshot(self):
@@ -153,9 +161,9 @@ class TestCollectorMerge:
     def test_counter_snapshot_excludes_wall_clock(self):
         snapshot = self._collector().counter_snapshot()
         assert "engine.eval_wall_s" not in snapshot
-        assert "stage.wall_s.pdn" not in snapshot
+        assert "span.wall_s.pipeline.pdn_solve" not in snapshot
         assert "span.wall_s.worker.eval" not in snapshot
-        assert "phase.wall_s.ga" not in snapshot
+        assert "span.wall_s.audit.ga-search" not in snapshot
         assert snapshot["engine.evaluations"] == 3
         assert snapshot["span.count.worker.eval"] == 3
 

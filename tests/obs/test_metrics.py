@@ -215,7 +215,7 @@ class TestNamedFamilies:
 
     def test_wall_clock_names_end_a_segment_in_s(self):
         assert is_wall_clock("engine.eval_wall_s")
-        assert is_wall_clock("phase.wall_s.ga-search")
+        assert is_wall_clock("span.wall_s.audit.ga-search")
         assert is_wall_clock("uarch.sim_s")
         assert not is_wall_clock("engine.evaluations")
         assert not is_wall_clock("span.count.worker.eval")

@@ -201,10 +201,11 @@ class TestPropagation:
         assert buffer.dropped == 2
 
     def test_span_buffer_ignores_non_span_events(self):
-        from repro.core.telemetry import PhaseEvent
+        from repro.core.telemetry import FaultEvent
 
         buffer = SpanBuffer()
-        buffer.on_event(PhaseEvent(name="ga", wall_s=1.0))
+        buffer.on_event(FaultEvent(genome="g", error="boom", attempt=1,
+                                   action="retry"))
         assert buffer.records == []
 
 

@@ -7,10 +7,8 @@ import pytest
 from repro.core.telemetry import (
     EvaluationEvent,
     FaultEvent,
-    GenerationEvent,
     PlatformMetricsEvent,
     SpanEvent,
-    StageEvent,
     SupervisorEvent,
     event_to_dict,
 )
@@ -169,6 +167,10 @@ def _campaign_events():
               attrs={"generation": 0}),
         _span("engine.evaluate_batch", "b1", "g1", t0=2.0, wall=6.0),
         _span("worker.eval", "w1", "b1", t0=3.0, wall=2.0, pid=101),
+        _span("pipeline.activity", "a1", "w1", t0=3.1, wall=0.2, pid=101,
+              attrs={"path": "periodic", "cache_hit": False}),
+        _span("pipeline.pdn_solve", "p1", "w1", t0=3.4, wall=0.5, pid=101,
+              attrs={"path": "periodic", "cache_hit": True}),
         _span("worker.eval", "w2", "b1", status="lost", t0=5.0, wall=1.0,
               pid=102),
         _span("stranded.child", "s1", "never-flushed", t0=6.0, wall=0.5),
@@ -178,11 +180,6 @@ def _campaign_events():
                         backend="supervised"),
         EvaluationEvent(genome="g-a", fitness=0.04, wall_s=0.0, cached=True,
                         backend="supervised"),
-        GenerationEvent(generation=0, best_fitness=0.05, mean_fitness=0.04,
-                        evaluations_so_far=2, batch_size=2, batch_new=2,
-                        wall_s=8.0),
-        StageEvent(stage="pdn", wall_s=0.5, cache_hit=True),
-        StageEvent(stage="activity", wall_s=0.2, cache_hit=False),
         FaultEvent(genome="g-c", error="hang", attempt=1, action="quarantine",
                    timeout=True),
         SupervisorEvent(action="hang-kill", task="g-c"),
@@ -199,11 +196,11 @@ class TestAnalyzeTrace:
             _write_trace(tmp_path / "trace.jsonl", _campaign_events()))
 
     def test_event_and_span_rollups(self, analysis):
-        assert analysis.events_by_kind["span"] == 6
+        assert analysis.events_by_kind["span"] == 8
         assert analysis.events_by_kind["evaluation"] == 3
         assert analysis.total_events == len(_campaign_events())
         assert analysis.span_counts["worker.eval"] == 2
-        assert analysis.total_spans == 6
+        assert analysis.total_spans == 8
 
     def test_tree_is_single_rooted_with_losses_accounted(self, analysis):
         assert len(analysis.tree.roots) == 1
@@ -234,7 +231,7 @@ class TestAnalyzeTrace:
 
     def test_deterministic_counts_cover_the_gating_surface(self, analysis):
         counts = analysis.deterministic_counts()
-        assert counts["events.span"] == 6
+        assert counts["events.span"] == 8
         assert counts["spans.worker.eval"] == 2
         assert counts["evaluations"] == 2
         assert counts["cache_hits"] == 1
@@ -245,7 +242,7 @@ class TestAnalyzeTrace:
 
     def test_metrics_projection(self, analysis):
         registry = analysis.metrics()
-        assert registry.counter("events.generation") == 1
+        assert registry.counter("events.evaluation") == 3
         assert registry.counter("spans.worker.eval") == 2
         assert registry.counter("spans.lost") == 2
         assert registry.counter("engine.evaluations") == 2
@@ -283,9 +280,8 @@ class TestRendering:
 
     def test_spanless_trace_renders_without_tables(self, tmp_path):
         path = _write_trace(tmp_path / "flat.jsonl", [
-            GenerationEvent(generation=0, best_fitness=0.0, mean_fitness=0.0,
-                            evaluations_so_far=0, batch_size=0, batch_new=0,
-                            wall_s=0.1),
+            EvaluationEvent(genome="g0", fitness=0.0, wall_s=0.1,
+                            cached=False, backend="serial"),
         ])
         analysis = analyze_trace(path)
         text = render_analysis(analysis)

@@ -1,13 +1,13 @@
-"""Stage telemetry: every measurement narrates its pipeline stages.
+"""Stage telemetry: every measurement narrates its activity stage.
 
 In particular the transient fallback is a modelling event, not a silent
-counter bump — the activity StageEvent must carry the reason in
-``detail`` and the collector must count it.
+counter bump — the ``pipeline.activity`` span must carry the reason in
+its ``fallback`` attribute and the collector must count it.
 """
 
 from repro.core.platform import MeasurementPlatform
 from repro.core.resonance import probe_program
-from repro.core.telemetry import StageEvent, TelemetryCollector
+from repro.core.telemetry import SpanEvent, TelemetryCollector
 from repro.experiments.setup import bulldozer_chip, bulldozer_pdn
 from repro.isa import (
     RegisterAllocator,
@@ -16,6 +16,8 @@ from repro.isa import (
     default_table,
     make_instruction,
 )
+from repro.obs.spans import Tracer, tracing
+from repro.pipeline.artifacts import MeasureRequest
 
 TABLE = default_table()
 
@@ -41,57 +43,77 @@ class Recorder:
     def on_event(self, event):
         self.events.append(event)
 
-    def stage_events(self, stage):
+    def spans(self, name):
         return [e for e in self.events
-                if isinstance(e, StageEvent) and e.stage == stage]
+                if isinstance(e, SpanEvent) and e.name == name]
 
 
-def observed_platform(**kwargs):
+def measure_traced(program, threads=4, *, observer=None, **kwargs):
+    """Measure *program* under a tracer; returns the recorder."""
     chip = bulldozer_chip()
     platform = MeasurementPlatform(chip, bulldozer_pdn(vdd=chip.vdd), **kwargs)
     recorder = Recorder()
-    platform.attach_observers([recorder])
-    return platform, recorder
+    observers = [recorder] if observer is None else [recorder, observer]
+    with tracing(Tracer(observers)):
+        platform.measure_program(program, threads)
+    return recorder
 
 
 class TestStageEvents:
     def test_every_stage_reports_once_per_measurement(self):
-        platform, recorder = observed_platform()
-        platform.measure_program(resonant_program(), 4)
-        for stage in ("compile", "activity", "pdn", "analyze"):
-            assert len(recorder.stage_events(stage)) == 1, stage
+        recorder = measure_traced(resonant_program())
+        (measure,) = recorder.spans("pipeline.measure")
+        (activity,) = recorder.spans("pipeline.activity")
+        assert activity.parent_id == measure.span_id
+        assert activity.attrs["path"] == measure.attrs["path"] == "periodic"
+        assert activity.attrs["cache_hit"] is False
+        (solve,) = recorder.spans("pipeline.pdn_solve")
+        assert solve.attrs["path"] == "periodic"
+
+    def test_one_activity_span_per_measurement_in_a_batch(self):
+        chip = bulldozer_chip()
+        platform = MeasurementPlatform(chip, bulldozer_pdn(vdd=chip.vdd))
+        recorder = Recorder()
+        with tracing(Tracer([recorder])):
+            platform.measure_programs([
+                MeasureRequest(program=program, threads=4)
+                for program in (resonant_program(), resonant_program(),
+                                probe_program(TABLE, hp_count=16, lp_nops=40))
+            ])
+        measures = recorder.spans("pipeline.measure")
+        activities = recorder.spans("pipeline.activity")
+        assert len(measures) == 3
+        assert sorted(a.parent_id for a in activities) == sorted(
+            m.span_id for m in measures)
+        # The repeated program's profile is served from the cache.
+        assert [a.attrs["cache_hit"] for a in activities] == [
+            False, True, False]
 
     def test_transient_fallback_emits_reason(self):
-        platform, recorder = observed_platform(warmup_iterations=8)
-        platform.measure_program(divider_program(), 4)
-        (event,) = recorder.stage_events("activity")
-        assert event.path == "transient"
-        assert "periodic" in event.detail
-        assert "8 iterations" in event.detail
+        recorder = measure_traced(divider_program(), warmup_iterations=8)
+        (activity,) = recorder.spans("pipeline.activity")
+        assert activity.attrs["path"] == "transient"
+        assert "periodic" in activity.attrs["fallback"]
+        assert "8 iterations" in activity.attrs["fallback"]
 
     def test_periodic_path_has_no_fallback_detail(self):
-        platform, recorder = observed_platform()
-        platform.measure_program(resonant_program(), 4)
-        (event,) = recorder.stage_events("activity")
-        assert event.path == "periodic"
-        assert event.detail == ""
+        recorder = measure_traced(resonant_program())
+        (activity,) = recorder.spans("pipeline.activity")
+        assert activity.attrs["path"] == "periodic"
+        assert "fallback" not in activity.attrs
 
 
 class TestCollectorCountsFallbacks:
     def test_collector_counts_transient_fallbacks(self):
-        chip = bulldozer_chip()
-        platform = MeasurementPlatform(
-            chip, bulldozer_pdn(vdd=chip.vdd), warmup_iterations=8)
         collector = TelemetryCollector()
-        platform.attach_observers([collector])
-        platform.measure_program(divider_program(), 4)
+        measure_traced(divider_program(), observer=collector,
+                       warmup_iterations=8)
         assert collector.metrics.counter("stage.fallbacks") == 1
-        assert "pdn" in collector.metrics.family("stage.wall_s")
+        assert collector.metrics.counter("span.count.pipeline.activity") == 1
+        assert collector.metrics.counter("span.count.pipeline.pdn_solve") == 1
 
     def test_periodic_measurements_do_not_count_as_fallbacks(self):
-        platform = MeasurementPlatform(
-            bulldozer_chip(), bulldozer_pdn(vdd=1.2))
         collector = TelemetryCollector()
-        platform.attach_observers([collector])
-        platform.measure_program(resonant_program(), 4)
+        measure_traced(resonant_program(), observer=collector)
+        assert collector.metrics.counter("span.count.pipeline.activity") == 1
         assert collector.metrics.counter("stage.fallbacks") == 0
