@@ -16,7 +16,7 @@ solve) → analyze (droop/sensitivity assembly), with per-stage caches
 keyed by artifact content hashes and per-stage timing telemetry.  That
 pipeline is the default backend, and it has one entry point: a batch of
 requests in, one measurement per request out.  A single measurement is
-a batch of one.  Simulator internals (``chip_sim``, ``solver_at``,
+a batch of one.  Simulator internals (``chip_sim``, ``pdn_stage.solver``,
 ``pdn``) live on :attr:`MeasurementPlatform.pipeline`, and its counters
 on :attr:`MeasurementPlatform.metrics`.
 

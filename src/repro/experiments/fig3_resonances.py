@@ -31,7 +31,7 @@ def run_fig3(
     swing_a: float = 30.0,
 ) -> Fig3Result:
     """Sweep the PDN and excite each resonance with a square-wave load."""
-    solver = platform.pipeline.pdn_stage.solver_at(platform.chip.vdd)
+    solver = platform.pipeline.pdn_stage.solver
     sweep = sweep_impedance(solver.network)
     dt = platform.chip.cycle_time_s
 
@@ -47,7 +47,7 @@ def run_fig3(
             periods=1,
             dt=dt,
         )
-        voltage = solver.steady_state_periodic(load)
+        voltage = solver.steady_state_periodic(load, vdd=platform.chip.vdd)
         time_domain[resonance.label] = (voltage, voltage.max_droop_v)
     return Fig3Result(sweep=sweep, time_domain=time_domain)
 

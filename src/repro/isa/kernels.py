@@ -16,12 +16,48 @@ This module holds the data model only; scheduling (how many cycles the body
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 from collections import Counter
 from dataclasses import dataclass
+from enum import Enum
+from functools import cached_property
 
 from repro.errors import IsaError
 from repro.isa.instruction import Instruction, nop
 from repro.isa.opcodes import OpcodeSpec
+
+
+#: Field names per dataclass type met by :func:`_encode`.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _encode(value, memo: dict) -> str:
+    """Deterministic text encoding of an ISA value object.
+
+    Unlike ``repr``, sets are encoded sorted, so the result does not
+    depend on ``PYTHONHASHSEED``.  *memo* maps ``id`` to encoding for the
+    dataclass instances a kernel shares (replicated sub-blocks reuse one
+    instruction object, every instruction reuses its opcode spec).
+    """
+    if isinstance(value, Enum):
+        return repr(value.value)
+    if isinstance(value, (str, int, float, type(None))):
+        return repr(value)
+    if isinstance(value, tuple):
+        return "(" + ",".join(_encode(v, memo) for v in value) + ")"
+    if isinstance(value, frozenset):
+        return "{" + ",".join(sorted(_encode(v, memo) for v in value)) + "}"
+    encoded = memo.get(id(value))
+    if encoded is None:
+        names = _FIELD_NAMES.get(type(value))
+        if names is None:
+            names = tuple(f.name for f in dataclasses.fields(value))
+            _FIELD_NAMES[type(value)] = names
+        encoded = memo[id(value)] = type(value).__name__ + "(" + ",".join(
+            _encode(getattr(value, name), memo) for name in names
+        ) + ")"
+    return encoded
 
 
 @dataclass(frozen=True)
@@ -66,6 +102,22 @@ class LoopKernel:
     def mnemonic_histogram(self) -> Counter:
         """Counter of mnemonics over the whole body."""
         return Counter(i.spec.mnemonic for i in self.body)
+
+    @cached_property
+    def content_key(self) -> str:
+        """SHA-256 hex digest over a deterministic encoding of the kernel.
+
+        Computed once per instance; equal kernels share it in any process.
+        An in-memory cache key only: nothing persists it.
+        """
+        memo: dict = {}
+        digest = hashlib.sha256(repr(self.name).encode())
+        for region in (self.hp, self.lp):
+            digest.update(b"|")
+            for inst in region:
+                digest.update(_encode(inst, memo).encode())
+                digest.update(b";")
+        return digest.hexdigest()
 
     def with_name(self, name: str) -> "LoopKernel":
         """Copy of this kernel under a different name."""
@@ -147,6 +199,18 @@ class ThreadProgram:
             raise IsaError("iterations must be >= 1")
         if self.phase_cycles < 0:
             raise IsaError("phase_cycles must be non-negative")
+
+    @cached_property
+    def content_key(self) -> str:
+        """SHA-256 hex digest over the kernel's key, iterations and phase.
+
+        The caches of the measurement path key on it instead of hashing
+        the whole frozen instruction tree on every lookup.  Computed once
+        per instance; phase-shifted copies reuse their kernel's key.
+        """
+        return hashlib.sha256(
+            f"{self.kernel.content_key}|{self.iterations}|{self.phase_cycles}".encode()
+        ).hexdigest()
 
     def with_phase(self, phase_cycles: int) -> "ThreadProgram":
         """Copy of this program starting at a different phase offset."""

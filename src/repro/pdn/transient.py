@@ -17,6 +17,11 @@ Two solvers are provided:
 * :meth:`TransientSolver.steady_state_periodic` — exact periodic steady
   state of a one-period current waveform via the frequency response (used
   by GA fitness and dithering sweeps, where the resonance is fully built).
+
+The network's response never depends on the supply voltage, which only
+sets the operating point each solve is given.  :func:`shared_solver`
+therefore discretises a network once per process and serves it to every
+supply and every pipeline measuring on it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import numpy as np
 from scipy import signal
 
 from repro.errors import PdnError
+from repro.pdn.elements import PdnParameters
 from repro.pdn.network import PdnNetwork
 from repro.power.trace import CurrentTrace
 from repro.validation.invariants import check_current_samples, check_voltage_samples
@@ -111,7 +117,15 @@ def _ss_to_sos(ad, bd, cd, dd) -> np.ndarray:
 
 
 class TransientSolver:
-    """ZOH-exact transient solver for one :class:`PdnNetwork` at fixed dt."""
+    """ZOH-exact transient solver for one :class:`PdnNetwork` at fixed dt.
+
+    Nothing here reads the network's ``vdd_nominal``: every solve takes
+    its supply as an argument, so one solver serves every supply on its
+    network.
+    """
+
+    #: Period lengths whose harmonic response one solver keeps.
+    HARMONIC_CACHE_ENTRIES = 64
 
     def __init__(self, network: PdnNetwork, dt: float):
         if dt <= 0:
@@ -135,14 +149,33 @@ class TransientSolver:
         # polynomial coefficients cancel catastrophically.  We therefore
         # compute poles and zeros directly from eigenproblems.
         self._sos = _ss_to_sos(ad, bd, cd, dd)
+        self._harmonic_cache: dict[int, np.ndarray] = {}
+
+    def harmonic_response(self, n: int) -> np.ndarray:
+        """``H(rfftfreq(n, dt))``, evaluated once per period length *n*.
+
+        The per-harmonic ``6x6`` solves of :meth:`PdnNetwork.transfer` are
+        the dominant cost of a periodic solve; a supply or phase sweep
+        repeats the same period many times.  The returned array is
+        read-only and shared.
+        """
+        h = self._harmonic_cache.get(n)
+        if h is None:
+            h = self.network.transfer(np.fft.rfftfreq(n, d=self.dt))
+            h.flags.writeable = False
+            if len(self._harmonic_cache) >= self.HARMONIC_CACHE_ENTRIES:
+                self._harmonic_cache.pop(next(iter(self._harmonic_cache)), None)
+            self._harmonic_cache[n] = h
+        return h
 
     def simulate(
         self,
         load: CurrentTrace,
         *,
+        vdd: float,
         baseline_current_a: float = 0.0,
     ) -> VoltageTrace:
-        """Run a transient over *load*, starting from DC steady state.
+        """Run a transient over *load* at supply *vdd*, from DC steady state.
 
         The network is assumed to have been sitting at a constant
         *baseline_current_a* forever before the trace starts (0 A means a
@@ -156,7 +189,6 @@ class TransientSolver:
         if not np.isfinite(baseline_current_a):
             raise PdnError("baseline current must be finite")
         check_current_samples(load.samples, layer="pdn")
-        vdd = self.network.params.vdd_nominal
         deviation = load.samples - baseline_current_a
         response = signal.sosfilt(self._sos, deviation)
         dc = self.network.dc_droop(baseline_current_a)
@@ -164,8 +196,10 @@ class TransientSolver:
         check_voltage_samples(volts, supply_v=vdd, layer="pdn")
         return VoltageTrace(volts, self.dt, vdd)
 
-    def steady_state_periodic(self, period_load: CurrentTrace) -> VoltageTrace:
-        """Exact periodic steady-state voltage for one period of load current.
+    def steady_state_periodic(
+        self, period_load: CurrentTrace, *, vdd: float
+    ) -> VoltageTrace:
+        """Exact periodic steady-state voltage at supply *vdd* for one period.
 
         Evaluates the network frequency response at the waveform's harmonics
         — the state after infinitely many repetitions of the period.  This is
@@ -178,11 +212,8 @@ class TransientSolver:
         check_current_samples(samples, layer="pdn")
         n = len(samples)
         spectrum = np.fft.rfft(samples)
-        harmonics = np.fft.rfftfreq(n, d=self.dt)
-        h = self.network.transfer(harmonics)
-        v_spectrum = h * spectrum
+        v_spectrum = self.harmonic_response(n) * spectrum
         deviation = np.fft.irfft(v_spectrum, n=n)
-        vdd = self.network.params.vdd_nominal
         volts = vdd + deviation
         check_voltage_samples(volts, supply_v=vdd, layer="pdn")
         return VoltageTrace(volts, self.dt, vdd)
@@ -192,13 +223,12 @@ class TransientSolver:
     ) -> np.ndarray:
         """Batched :meth:`steady_state_periodic`: one row per candidate.
 
-        All rows share the network's frequency response, so the ``6x6``
-        per-harmonic solves inside :meth:`PdnNetwork.transfer` — the
-        dominant cost of a periodic solve — are paid **once** for the whole
-        batch instead of once per candidate.  The response is vdd-free
-        (nominal voltage only shifts the operating point), so each row gets
+        All rows share the network's frequency response
+        (:meth:`harmonic_response`, memoised per period length), so the
+        FFTs run once for the whole batch.  The response is vdd-free
+        (the supply only shifts the operating point), so each row gets
         its own supply added afterwards; the result is bit-identical to a
-        per-row serial solve with a solver built at that row's supply.
+        per-row serial :meth:`steady_state_periodic` at that row's supply.
         """
         matrix = np.asarray(period_matrix, dtype=np.float64)
         vdds = np.asarray(vdd_rows, dtype=np.float64)
@@ -210,9 +240,9 @@ class TransientSolver:
             check_current_samples(row, layer="pdn")
         n = matrix.shape[1]
         spectrum = np.fft.rfft(matrix, axis=-1)
-        harmonics = np.fft.rfftfreq(n, d=self.dt)
-        h = self.network.transfer(harmonics)
-        deviation = np.fft.irfft(h * spectrum, n=n, axis=-1)
+        deviation = np.fft.irfft(
+            self.harmonic_response(n) * spectrum, n=n, axis=-1
+        )
         volts = vdds[:, None] + deviation
         for row, vdd in zip(volts, vdds):
             check_voltage_samples(row, supply_v=float(vdd), layer="pdn")
@@ -256,3 +286,27 @@ class TransientSolver:
         impulse = np.zeros(samples)
         impulse[0] = 1.0
         return signal.sosfilt(self._sos, impulse)
+
+
+#: Distinct networks whose solvers :func:`shared_solver` keeps.
+SOLVER_MEMO_ENTRIES = 32
+
+_SOLVERS: dict[tuple, TransientSolver] = {}
+
+
+def shared_solver(params: PdnParameters, dt: float) -> TransientSolver:
+    """The process-wide solver for *params*' network at sample interval *dt*.
+
+    Keyed on ``(board, package, die, load_line_ohm, dt)`` — everything the
+    discretisation reads — and not on ``vdd_nominal``, which it never
+    reads: every supply, and every pipeline built on the same network,
+    shares one solver.  The memo is bounded (oldest entry evicted first).
+    """
+    key = (params.board, params.package, params.die, params.load_line_ohm, dt)
+    solver = _SOLVERS.get(key)
+    if solver is None:
+        solver = TransientSolver(PdnNetwork(params), dt)
+        if len(_SOLVERS) >= SOLVER_MEMO_ENTRIES:
+            _SOLVERS.pop(next(iter(_SOLVERS)), None)
+        _SOLVERS[key] = solver
+    return solver

@@ -155,8 +155,8 @@ class MeasurementPipeline:
         )
         start = time.perf_counter()
         voltage = self.pdn_stage.solve(
-            self.pdn_stage.solver_at(supply).simulate,
-            current, baseline_current_a=baseline,
+            self.pdn_stage.solver.simulate,
+            current, vdd=supply, baseline_current_a=baseline,
         )
         self.metrics.inc("pipeline.wall_s.pdn", time.perf_counter() - start)
         sens = (

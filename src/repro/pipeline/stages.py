@@ -18,8 +18,7 @@ from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.osmodel.affinity import spread_placement
 from repro.pdn.elements import PdnParameters
-from repro.pdn.network import PdnNetwork
-from repro.pdn.transient import TransientSolver, VoltageTrace
+from repro.pdn.transient import TransientSolver, VoltageTrace, shared_solver
 from repro.pipeline.artifacts import (
     ActivityProfile,
     CompiledProgram,
@@ -69,9 +68,10 @@ class CompileStage:
         self.cache = StageCache("compile")
 
     def run(self, request: MeasureRequest) -> CompiledProgram:
-        # Memoised on the (hashable) program object: the content hash over
-        # its repr is computed once per distinct program, not per call.
-        cache_key = (request.program, request.threads, request.smt_phase_cycles)
+        # Keyed on the program's content key, computed once per program
+        # instance: a lookup never re-hashes the instruction tree.
+        program_key = request.program.content_key
+        cache_key = (program_key, request.threads, request.smt_phase_cycles)
         cached = self.cache.get(cache_key)
         if cached is not None:
             return cached
@@ -79,7 +79,7 @@ class CompileStage:
         placement = tuple(counts)
         key = artifact_key(
             self.chip.name,
-            request.program,
+            program_key,
             request.threads,
             request.smt_phase_cycles,
             placement,
@@ -202,9 +202,10 @@ class ActivityStage:
 class PdnStage:
     """Stage 3: solve the PDN for a profile at given phases and supply.
 
-    Keeps one :class:`TransientSolver` per supply voltage, a bounded
-    response cache keyed ``(profile, phases, supply)``, and the batched
-    row-assembly helpers :meth:`run_batch` stacks into matrix solves.
+    Solves on its network's one :class:`TransientSolver` (shared
+    process-wide, every supply), keeps a bounded response cache keyed
+    ``(profile, phases, supply)``, and holds the row-assembly helpers
+    :meth:`run_batch` stacks into matrix solves.
     """
 
     name = "pdn"
@@ -232,25 +233,12 @@ class PdnStage:
         self.jitter_step_cycles = jitter_step_cycles
         self.metrics = metrics
         self.cache = StageCache("pdn", max_entries=cache_entries)
-        self._solvers: dict[float, TransientSolver] = {}
         self._energy_model = EnergyModel(chip.power, chip.vdd, chip.frequency_hz)
 
-    # ------------------------------------------------------------------
-    # Solvers per supply voltage (failure sweeps reuse module simulations)
-    # ------------------------------------------------------------------
-    def solver_at(self, supply_v: float) -> TransientSolver:
-        solver = self._solvers.get(supply_v)
-        if solver is None:
-            params = PdnParameters(
-                vdd_nominal=supply_v,
-                board=self.pdn.board,
-                package=self.pdn.package,
-                die=self.pdn.die,
-                load_line_ohm=self.pdn.load_line_ohm,
-            )
-            solver = TransientSolver(PdnNetwork(params), self.chip.cycle_time_s)
-            self._solvers[supply_v] = solver
-        return solver
+    @property
+    def solver(self) -> TransientSolver:
+        """The network's solver; every supply and pipeline on it shares one."""
+        return shared_solver(self.pdn, self.chip.cycle_time_s)
 
     def solve(self, solve_fn, *args, **kwargs):
         start = time.perf_counter()
@@ -259,12 +247,14 @@ class PdnStage:
         return result
 
     def current_from_energy(
-        self, energy_pj: np.ndarray, *, active_threads: int, supply_v: float
+        self, energy_pj: np.ndarray, *, active_threads: int,
+        supply_v: float | np.ndarray,
     ) -> np.ndarray:
         """Per-cycle module current at an arbitrary supply voltage.
 
         Lower supply means more current for the same switching energy —
         the feedback that deepens droops as the failure sweep descends.
+        An array *supply_v* broadcasts against *energy_pj* elementwise.
         """
         p = self.chip.power
         dynamic = (
@@ -311,21 +301,44 @@ class PdnStage:
             (m, phases[i]) for i, m in enumerate(profile.modules) if m is not None
         ]
 
-    def periodic_rows(self, profile: ActivityProfile, phases, supply: float):
-        """One candidate's periodic current/sensitivity row (one period)."""
-        active = self._active_phases(profile, phases)
-        period = profile.period_cycles
-        idle_count = self.chip.module_count - len(active)
-        total_current = np.full(period, idle_count * self.idle_module_current())
-        total_sens = np.zeros(period)
-        for module, phase in active:
-            energy, sens, _p = module.profile
-            current = self.current_from_energy(
-                energy, active_threads=module.count, supply_v=supply
-            )
-            total_current += np.roll(current, phase)
-            np.maximum(total_sens, np.roll(sens, phase), out=total_sens)
-        return total_current, total_sens
+    def periodic_rows(self, items):
+        """Periodic current and sensitivity matrices, one row per candidate.
+
+        *items* are ``(profile, phases, supply)`` with one common period.
+        Rows of one profile share its module energies, so each module's
+        current is computed for all their supplies at once and rolled to
+        each row's phase by indexing.  Every element sees the same
+        arithmetic in the same order as a one-row call, so rows are
+        bit-identical however the candidates are batched.
+        """
+        period = items[0][0].period_cycles
+        currents = np.empty((len(items), period))
+        sensitivities = np.empty((len(items), period))
+        by_profile: dict[int, list[int]] = {}
+        for i, (profile, _phases, _supply) in enumerate(items):
+            by_profile.setdefault(id(profile), []).append(i)
+        columns = np.arange(period)
+        for rows in by_profile.values():
+            profile = items[rows[0]][0]
+            phases = np.array([items[i][1] for i in rows])
+            supplies = np.array([[items[i][2]] for i in rows], dtype=np.float64)
+            active = [(k, m) for k, m in enumerate(profile.modules) if m is not None]
+            idle_count = self.chip.module_count - len(active)
+            total_current = np.full((len(rows), period),
+                                    idle_count * self.idle_module_current())
+            total_sens = np.zeros((len(rows), period))
+            for k, module in active:
+                energy, sens, _p = module.profile
+                current = self.current_from_energy(
+                    energy[None, :], active_threads=module.count, supply_v=supplies
+                )
+                # np.roll(x, phase)[j] == x[(j - phase) % period]
+                source = (columns - phases[:, k:k + 1]) % period
+                total_current += np.take_along_axis(current, source, axis=1)
+                np.maximum(total_sens, sens[source], out=total_sens)
+            currents[rows] = total_current
+            sensitivities[rows] = total_sens
+        return currents, sensitivities
 
     def jittered_rows(self, profile: ActivityProfile, phases, supply: float):
         """One candidate's phase-random-walk row plus its DC baseline."""
@@ -361,9 +374,10 @@ class PdnStage:
     # Serial solves
     # ------------------------------------------------------------------
     def _measure_periodic(self, profile, phases, supply: float) -> PdnResponse:
-        total_current, total_sens = self.periodic_rows(profile, phases, supply)
+        currents, sensitivities = self.periodic_rows([(profile, phases, supply)])
+        total_current, total_sens = currents[0], sensitivities[0]
         trace = CurrentTrace(total_current, self.chip.cycle_time_s)
-        voltage = self.solve(self.solver_at(supply).steady_state_periodic, trace)
+        voltage = self.solve(self.solver.steady_state_periodic, trace, vdd=supply)
         return PdnResponse(
             voltage=voltage,
             sensitivity=total_sens,
@@ -387,8 +401,7 @@ class PdnStage:
         )
         trace = CurrentTrace(total_current, self.chip.cycle_time_s)
         voltage = self.solve(
-            self.solver_at(supply).simulate,
-            trace, baseline_current_a=baseline,
+            self.solver.simulate, trace, vdd=supply, baseline_current_a=baseline,
         )
         return PdnResponse(
             voltage=voltage,
@@ -427,8 +440,9 @@ class PdnStage:
             total_current[:start] += per_module_idle
         current_trace = CurrentTrace(total_current, self.chip.cycle_time_s)
         voltage = self.solve(
-            self.solver_at(supply).simulate,
+            self.solver.simulate,
             current_trace,
+            vdd=supply,
             baseline_current_a=self.chip.module_count * per_module_idle,
         )
         return PdnResponse(
@@ -448,21 +462,16 @@ class PdnStage:
         *items* is a list of ``(profile, phases, supply)`` tuples whose
         profiles all dispatch to the same path ("periodic" or "jittered")
         with one common period, so the assembled rows form a rectangular
-        matrix.  The network response is supply-independent (the nominal
-        voltage only shifts the operating point), so one canonical solver
-        serves every row; results are bit-identical to per-item serial
-        solves.
+        matrix.  Rows solve on :attr:`solver`, the one solver every supply
+        shares (as the serial paths do); results are bit-identical to
+        per-item serial solves.
         """
         path = items[0][0].path
         supplies = np.array([supply for _profile, _phases, supply in items])
-        solver = self.solver_at(self.pdn.vdd_nominal)
+        solver = self.solver
         dt = self.chip.cycle_time_s
         if path == "periodic":
-            rows = [
-                self.periodic_rows(profile, phases, supply)
-                for profile, phases, supply in items
-            ]
-            matrix = np.stack([current for current, _sens in rows])
+            matrix, sensitivities = self.periodic_rows(items)
             volts = self.solve(
                 solver.steady_state_periodic_batch, matrix, vdd_rows=supplies
             )
@@ -472,6 +481,7 @@ class PdnStage:
                 for profile, phases, supply in items
             ]
             matrix = np.stack([current for current, _sens, _base in rows])
+            sensitivities = [sens for _current, sens, _base in rows]
             baselines = np.array([base for _current, _sens, base in rows])
             volts = self.solve(
                 solver.simulate_batch, matrix,
@@ -488,7 +498,7 @@ class PdnStage:
             voltage = VoltageTrace(volts[i], dt, float(supplies[i]))
             response = PdnResponse(
                 voltage=voltage,
-                sensitivity=rows[i][1],
+                sensitivity=sensitivities[i],
                 current=CurrentTrace(matrix[i], dt),
                 period_cycles=profile.period_cycles,
                 supply_v=supply,

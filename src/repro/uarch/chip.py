@@ -60,8 +60,8 @@ class ChipSimulator:
         *,
         max_iterations: int | None = None,
     ) -> ModuleTrace:
-        """Run one module (memoised on the exact program tuple)."""
-        key = (tuple(programs), max_iterations)
+        """Run one module (memoised on the programs' content keys)."""
+        key = (tuple(p.content_key for p in programs), max_iterations)
         trace = self._cache.get(key)
         if trace is None:
             start = time.perf_counter()

@@ -1,5 +1,7 @@
 """Failure-injection tests: the search stack must fail loudly and cleanly."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.audit import AuditRunner
@@ -9,6 +11,7 @@ from repro.core.platform import MeasurementPlatform
 from repro.errors import ConfigurationError, IsaError, ReproError, SearchError
 from repro.isa.opcodes import OpcodeTable, default_table
 from repro.pdn.elements import bulldozer_pdn
+from repro.pdn.transient import shared_solver
 from repro.uarch.config import bulldozer_chip
 
 TABLE = default_table()
@@ -114,12 +117,25 @@ class TestPlatformGuards:
         with pytest.raises(ConfigurationError):
             platform.measure_program(program, 1, supply_v=-1.0)
 
-    def test_solver_cache_keyed_by_supply(self):
+    def test_one_solver_per_network(self):
+        """Every supply on a network shares one solver; a changed R, L, C,
+        ESR or load line discretises its own."""
         chip = bulldozer_chip()
-        platform = MeasurementPlatform(chip, bulldozer_pdn(vdd=chip.vdd))
-        a = platform.pipeline.pdn_stage.solver_at(1.2)
-        b = platform.pipeline.pdn_stage.solver_at(1.2)
-        c = platform.pipeline.pdn_stage.solver_at(1.1)
-        assert a is b
-        assert a is not c
-        assert c.network.params.vdd_nominal == pytest.approx(1.1)
+        dt = chip.cycle_time_s
+        params = bulldozer_pdn(vdd=chip.vdd)
+        solver = MeasurementPlatform(chip, params).pipeline.pdn_stage.solver
+        for vdd in (1.0, 1.1, 1.2, 1.3):
+            assert shared_solver(replace(params, vdd_nominal=vdd), dt) is solver
+            other = MeasurementPlatform(chip.with_vdd(vdd), bulldozer_pdn(vdd=vdd))
+            assert other.pipeline.pdn_stage.solver is solver
+        variants = [replace(params, load_line_ohm=1e-3)]
+        for stage_name in ("board", "package", "die"):
+            stage = getattr(params, stage_name)
+            for field in ("resistance_ohm", "inductance_h", "capacitance_f", "esr_ohm"):
+                scaled = replace(stage, **{field: getattr(stage, field) * 1.1})
+                variants.append(replace(params, **{stage_name: scaled}))
+        solvers = [shared_solver(variant, dt) for variant in variants]
+        assert len({id(s) for s in [solver, *solvers]}) == len(variants) + 1
+        for variant, built in zip(variants, solvers):
+            assert built.network.params.die == variant.die
+            assert built.network.params.load_line_ohm == variant.load_line_ohm

@@ -117,8 +117,9 @@ class TestPathConsistency:
 
         # Brute force: tile the measured periodic current and simulate.
         tiled = fast.current.tile(400)
-        solver = platform.pipeline.pdn_stage.solver_at(platform.chip.vdd)
-        slow = solver.simulate(tiled, baseline_current_a=fast.current.mean_a)
+        solver = platform.pipeline.pdn_stage.solver
+        slow = solver.simulate(tiled, vdd=platform.chip.vdd,
+                               baseline_current_a=fast.current.mean_a)
         late_min = slow.samples[len(slow.samples) // 2 :].min()
         assert fast.voltage.min_v == pytest.approx(late_min, abs=2e-3)
 

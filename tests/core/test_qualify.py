@@ -359,3 +359,62 @@ class TestAuditQualification:
         )
         assert (second.qualification.winner_report.evaluations == 0)
         assert (first.qualification.verdict == second.qualification.verdict)
+
+
+class TestQualificationWorkCounts:
+    """Measurement setup runs once per distinct input, not once per call."""
+
+    def test_setup_once_per_program_network_and_period(self, monkeypatch):
+        from collections import Counter
+        from functools import cached_property
+
+        import numpy as np
+
+        from repro.isa.kernels import ThreadProgram
+        from repro.pdn import transient
+        from repro.pdn.network import PdnNetwork
+
+        monkeypatch.setattr(transient, "_SOLVERS", {})
+        built = []
+        init = transient.TransientSolver.__init__
+
+        def counting_init(self, network, dt):
+            built.append(network.params)
+            init(self, network, dt)
+
+        transfers = Counter()
+        transfer = PdnNetwork.transfer
+
+        def counting_transfer(self, frequencies_hz):
+            freqs = np.asarray(frequencies_hz, dtype=np.float64)
+            transfers[(id(self), freqs.tobytes())] += 1
+            return transfer(self, frequencies_hz)
+
+        keyed = Counter()
+        programs = []
+        content_key = ThreadProgram.__dict__["content_key"].func
+
+        def counting_key(program):
+            keyed[id(program)] += 1
+            programs.append(program)  # keep ids unique for the count
+            return content_key(program)
+
+        counting = cached_property(counting_key)
+        counting.__set_name__(ThreadProgram, "content_key")
+        monkeypatch.setattr(transient.TransientSolver, "__init__", counting_init)
+        monkeypatch.setattr(PdnNetwork, "transfer", counting_transfer)
+        monkeypatch.setattr(ThreadProgram, "content_key", counting)
+
+        platform = bulldozer_testbed()
+        pool = default_table().supported_on(platform.chip.extensions)
+        program = stressmark_program(a_res_canned(pool))
+        for threads in (1, 2):
+            StressmarkQualifier(platform, threads=threads,
+                                config=QualifyConfig()).qualify_program(program)
+
+        # Nominal plus the die stage's four fields at +-10 %.
+        assert len(built) == 9
+        assert len({(p.board, p.package, p.die, p.load_line_ohm) for p in built}) == 9
+        assert keyed[id(program)] == 1
+        assert set(keyed.values()) == {1}
+        assert transfers and set(transfers.values()) == {1}

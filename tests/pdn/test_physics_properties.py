@@ -39,7 +39,7 @@ class TestElectricalIdentities:
         """mean(v) = vdd - R_dc * mean(i), exactly, for any periodic load."""
         rng = np.random.default_rng(3)
         load = CurrentTrace(rng.uniform(0, 40, size=128), DT)
-        v = solver.steady_state_periodic(load)
+        v = solver.steady_state_periodic(load, vdd=1.2)
         expected = 1.2 - network.params.dc_resistance_ohm * load.mean_a
         assert v.samples.mean() == pytest.approx(expected, rel=1e-9)
 
@@ -71,7 +71,7 @@ class TestElectricalIdentities:
         solver = TransientSolver(network, DT)
         rng = np.random.default_rng(seed)
         load = CurrentTrace(rng.uniform(0, 30, size=n), DT)
-        v = solver.steady_state_periodic(load)
+        v = solver.steady_state_periodic(load, vdd=1.2)
         spectrum = np.fft.rfft(load.samples) / n
         freqs = np.fft.rfftfreq(n, d=DT)
         h = network.transfer(freqs)
@@ -85,14 +85,14 @@ class TestElectricalIdentities:
         load = CurrentTrace(
             np.concatenate([np.zeros(500), np.full(500, 30.0)]), DT
         )
-        v = solver.simulate(load)
+        v = solver.simulate(load, vdd=1.2)
         np.testing.assert_allclose(v.samples[:500], 1.2, atol=1e-12)
 
     def test_passivity_constant_load_never_overshoots_nominal(self, solver):
         """Monotone step into a passive network cannot push v above vdd
         before the first current change arrives back (no energy sources)."""
         load = CurrentTrace(np.full(100_000, 25.0), DT)
-        v = solver.simulate(load)
+        v = solver.simulate(load, vdd=1.2)
         assert v.max_v <= 1.2 + 1e-9
 
 
@@ -117,19 +117,19 @@ class TestResonanceBuildup:
         period = square_wave(40, 5, 16, 16, 1, DT)
         droops = []
         for reps in (1, 2, 4, 8, 16, 64):
-            v = solver.simulate(period.tile(reps),
+            v = solver.simulate(period.tile(reps), vdd=1.2,
                                 baseline_current_a=period.mean_a)
             droops.append(v.max_droop_v)
         assert droops == sorted(droops)
         # And it saturates at the periodic steady state.
-        steady = solver.steady_state_periodic(period).max_droop_v
+        steady = solver.steady_state_periodic(period, vdd=1.2).max_droop_v
         assert droops[-1] == pytest.approx(steady, rel=0.05)
 
     def test_quality_factor_sets_buildup_time(self, solver):
         """Within the first few periods the droop is well below steady
         state — resonance needs M cycles to build (the dithering M)."""
         period = square_wave(40, 5, 16, 16, 1, DT)
-        first = solver.simulate(period,
+        first = solver.simulate(period, vdd=1.2,
                                 baseline_current_a=period.mean_a).max_droop_v
-        steady = solver.steady_state_periodic(period).max_droop_v
+        steady = solver.steady_state_periodic(period, vdd=1.2).max_droop_v
         assert first < 0.6 * steady

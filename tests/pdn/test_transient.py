@@ -59,24 +59,24 @@ class TestVoltageTrace:
 class TestTransientAccuracy:
     def test_zero_load_holds_nominal_voltage(self, solver):
         quiet = CurrentTrace(np.zeros(1000), DT)
-        v = solver.simulate(quiet)
+        v = solver.simulate(quiet, vdd=VDD)
         np.testing.assert_allclose(v.samples, VDD, atol=1e-12)
 
     def test_dc_load_settles_to_ir_drop(self, network, solver):
         const = CurrentTrace(np.full(3_000_000, 20.0), DT)
-        v = solver.simulate(const)
+        v = solver.simulate(const, vdd=VDD)
         expected = VDD - network.dc_droop(20.0)
         assert v.samples[-1] == pytest.approx(expected, abs=1e-4)
 
     def test_long_simulation_numerically_stable(self, solver):
         const = CurrentTrace(np.full(3_000_000, 20.0), DT)
-        v = solver.simulate(const)
+        v = solver.simulate(const, vdd=VDD)
         assert np.all(np.isfinite(v.samples))
         assert np.all(np.abs(v.samples - VDD) < 0.5)
 
     def test_baseline_current_starts_in_steady_state(self, network, solver):
         const = CurrentTrace(np.full(100, 15.0), DT)
-        v = solver.simulate(const, baseline_current_a=15.0)
+        v = solver.simulate(const, vdd=VDD, baseline_current_a=15.0)
         expected = VDD - network.dc_droop(15.0)
         np.testing.assert_allclose(v.samples, expected, atol=1e-9)
 
@@ -84,7 +84,7 @@ class TestTransientAccuracy:
         """sosfilt path must agree with a literal state-space recurrence."""
         rng = np.random.default_rng(7)
         load = rng.uniform(0, 30, size=400)
-        v_fast = solver.simulate(CurrentTrace(load, DT)).samples
+        v_fast = solver.simulate(CurrentTrace(load, DT), vdd=VDD).samples
         ad, bd = solver._ad, solver._bd
         cd, dd = solver._cd, solver._dd
         x = np.zeros((ad.shape[0], 1))
@@ -96,7 +96,7 @@ class TestTransientAccuracy:
 
     def test_dt_mismatch_rejected(self, solver):
         with pytest.raises(PdnError):
-            solver.simulate(CurrentTrace(np.ones(10), DT * 2))
+            solver.simulate(CurrentTrace(np.ones(10), DT * 2), vdd=VDD)
 
     def test_bad_dt_rejected(self, network):
         with pytest.raises(PdnError):
@@ -106,7 +106,7 @@ class TestTransientAccuracy:
 class TestDroopPhysics:
     def test_current_step_causes_droop_then_recovery_ring(self, solver):
         step = step_load(low_a=5, high_a=40, low_samples=300, high_samples=600, dt=DT)
-        v = solver.simulate(step, baseline_current_a=5.0)
+        v = solver.simulate(step, vdd=VDD, baseline_current_a=5.0)
         assert v.max_droop_v > 0.01
         # First droop rings: there is an overshoot above the post-step DC level.
         post_dc = VDD - solver.network.dc_droop(40.0)
@@ -118,9 +118,9 @@ class TestDroopPhysics:
         """Paper Fig. 4: resonance grows in amplitude vs a single event."""
         h = resonant_period // 2
         period = square_wave(40, 5, h, resonant_period - h, 1, DT)
-        resonant = solver.steady_state_periodic(period).max_droop_v
+        resonant = solver.steady_state_periodic(period, vdd=VDD).max_droop_v
         step = step_load(5, 40, 300, 600, DT)
-        excitation = solver.simulate(step, baseline_current_a=5.0).max_droop_v
+        excitation = solver.simulate(step, vdd=VDD, baseline_current_a=5.0).max_droop_v
         assert resonant > 1.2 * excitation
 
     def test_on_resonance_beats_off_resonance(self, solver, resonant_period):
@@ -128,8 +128,8 @@ class TestDroopPhysics:
         on_res = square_wave(40, 5, h, resonant_period - h, 1, DT)
         off_len = resonant_period * 2  # half the resonant frequency
         off_res = square_wave(40, 5, off_len // 2, off_len - off_len // 2, 1, DT)
-        droop_on = solver.steady_state_periodic(on_res).max_droop_v
-        droop_off = solver.steady_state_periodic(off_res).max_droop_v
+        droop_on = solver.steady_state_periodic(on_res, vdd=VDD).max_droop_v
+        droop_off = solver.steady_state_periodic(off_res, vdd=VDD).max_droop_v
         assert droop_on > 1.3 * droop_off
 
     def test_steady_state_periodic_matches_long_transient(
@@ -137,8 +137,8 @@ class TestDroopPhysics:
     ):
         h = resonant_period // 2
         period = square_wave(40, 5, h, resonant_period - h, 1, DT)
-        ss = solver.steady_state_periodic(period)
-        long = solver.simulate(period.tile(3000), baseline_current_a=period.mean_a)
+        ss = solver.steady_state_periodic(period, vdd=VDD)
+        long = solver.simulate(period.tile(3000), vdd=VDD, baseline_current_a=period.mean_a)
         late_min = long.samples[len(long.samples) // 2 :].min()
         assert ss.min_v == pytest.approx(late_min, abs=2e-3)
 
@@ -147,8 +147,8 @@ class TestDroopPhysics:
         small = square_wave(20, 5, h, resonant_period - h, 1, DT)
         large = square_wave(40, 5, h, resonant_period - h, 1, DT)
         assert (
-            solver.steady_state_periodic(large).max_droop_v
-            > solver.steady_state_periodic(small).max_droop_v
+            solver.steady_state_periodic(large, vdd=VDD).max_droop_v
+            > solver.steady_state_periodic(small, vdd=VDD).max_droop_v
         )
 
     def test_impulse_response_decays(self, solver):
@@ -166,8 +166,8 @@ class TestLinearityProperties:
     def test_response_scales_linearly(self, scale):
         solver = TransientSolver(PdnNetwork(bulldozer_pdn()), DT)
         base = square_wave(30, 5, 16, 16, 5, DT)
-        v1 = solver.simulate(base)
-        v2 = solver.simulate(base.scaled(scale))
+        v1 = solver.simulate(base, vdd=VDD)
+        v2 = solver.simulate(base.scaled(scale), vdd=VDD)
         dev1 = v1.samples - VDD
         dev2 = v2.samples - VDD
         np.testing.assert_allclose(dev2, dev1 * scale, atol=1e-9, rtol=1e-6)
@@ -179,7 +179,7 @@ class TestLinearityProperties:
         rng = np.random.default_rng(seed)
         a = CurrentTrace(rng.uniform(0, 20, 256), DT)
         b = CurrentTrace(rng.uniform(0, 20, 256), DT)
-        va = solver.simulate(a).samples - VDD
-        vb = solver.simulate(b).samples - VDD
-        vab = solver.simulate(a + b).samples - VDD
+        va = solver.simulate(a, vdd=VDD).samples - VDD
+        vb = solver.simulate(b, vdd=VDD).samples - VDD
+        vab = solver.simulate(a + b, vdd=VDD).samples - VDD
         np.testing.assert_allclose(vab, va + vb, atol=1e-9)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, MeasurementError
 from repro.experiments.setup import bulldozer_chip, bulldozer_pdn
@@ -168,6 +170,35 @@ class TestPdnStage:
             profile, phases=phases, supply=1.17)
         assert pipeline.pdn_stage.cache.hits == hits + 1
         assert second.voltage.max_droop_v == first.voltage.max_droop_v
+
+    @given(rows=st.lists(
+        st.tuples(st.tuples(*[st.integers(-80, 200)] * 4),
+                  st.floats(0.9, 1.4, allow_nan=False)),
+        min_size=1, max_size=6,
+    ), threads=st.sampled_from((1, 2, 4)))
+    @settings(max_examples=25, deadline=None)
+    def test_periodic_rows_match_the_per_row_roll_loop(self, pipeline, rows, threads):
+        """The matrix assembly reproduces the one-row np.roll loop exactly."""
+        stage = pipeline.pdn_stage
+        profile = pipeline.activity.run(pipeline.compile.run(
+            MeasureRequest(program=resonant_program(), threads=threads)))
+        items = [(profile, phases, supply) for phases, supply in rows]
+        currents, sensitivities = stage.periodic_rows(items)
+        for (_profile, phases, supply), current, sens in zip(
+                items, currents, sensitivities):
+            active = [(m, phases[i]) for i, m in enumerate(profile.modules)
+                      if m is not None]
+            idle = pipeline.chip.module_count - len(active)
+            want_current = np.full(profile.period_cycles,
+                                   idle * stage.idle_module_current())
+            want_sens = np.zeros(profile.period_cycles)
+            for module, phase in active:
+                energy, module_sens, _p = module.profile
+                want_current += np.roll(stage.current_from_energy(
+                    energy, active_threads=module.count, supply_v=supply), phase)
+                np.maximum(want_sens, np.roll(module_sens, phase), out=want_sens)
+            assert np.array_equal(current, want_current)
+            assert np.array_equal(sens, want_sens)
 
 
 class TestPipelineValidation:

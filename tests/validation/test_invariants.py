@@ -174,13 +174,13 @@ class TestLayerWiring:
         solver = TransientSolver(PdnNetwork(bulldozer_pdn()), DT)
         samples = np.full(64, 3.0)
         samples[10] = np.nan
-        error = fired(solver.simulate, CurrentTrace(samples, DT))
+        error = fired(solver.simulate, CurrentTrace(samples, DT), vdd=1.2)
         assert (error.guard, error.layer) == ("current-finite", "pdn")
 
     def test_pdn_solver_rejects_negative_current(self):
         solver = TransientSolver(PdnNetwork(bulldozer_pdn()), DT)
         error = fired(solver.steady_state_periodic,
-                      CurrentTrace(np.array([-1.0, 2.0]), DT))
+                      CurrentTrace(np.array([-1.0, 2.0]), DT), vdd=1.2)
         assert (error.guard, error.layer) == ("current-bounds", "pdn")
 
     def test_platform_measurement_is_guarded(self):
