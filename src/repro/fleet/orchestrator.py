@@ -58,8 +58,15 @@ from repro.errors import (
 )
 from repro.fleet.matrix import ScenarioMatrix
 from repro.fleet.report import REPORT_FILE, REPORT_MD_FILE, FleetReport
-from repro.fleet.shard import ShardResult, ShardSpec, load_result, run_shard
+from repro.fleet.shard import (
+    ShardResult,
+    ShardSpec,
+    load_result,
+    run_shard,
+    scenario_config,
+)
 from repro.obs.spans import current_tracer, span
+from repro.pdn.transient import shared_solver
 from repro.supervision.executor import (
     DEFAULT_MAX_POOL_REBUILDS,
     SupervisionExhaustedError,
@@ -475,6 +482,11 @@ class FleetOrchestrator:
         for chain_index, chain in enumerate(chains):
             if chain:
                 queue.append((chain_index, 0))
+                # Discretise before the pool forks: the workers inherit
+                # the solver (and ``scipy.signal``) as shared pages
+                # instead of each building its own.
+                chip, pdn = scenario_config(chain[0])
+                shared_solver(pdn, chip.cycle_time_s)
         suspects: deque = deque()
         strikes: dict = {}
         inflight: dict = {}

@@ -62,39 +62,35 @@ from repro.errors import (
 from repro.experiments.setup import program_failure_voltage
 from repro.fleet.matrix import Scenario
 from repro.obs.spans import SpanBuffer, TraceContext, adopt, span, tracing
-from repro.pdn.elements import bulldozer_pdn, phenom_pdn
+from repro.pdn.elements import PdnParameters
 from repro.supervision import ShutdownCoordinator
-from repro.uarch.config import bulldozer_chip, phenom_chip
+from repro.uarch.config import ChipConfig
 
 RESULT_FILE = "result.json"
 
 #: Bumped when the shard result layout changes incompatibly.
 RESULT_VERSION = 1
 
-_CHIP_PRESETS = {"bulldozer": bulldozer_chip, "phenom": phenom_chip}
-_PDN_PRESETS = {"bulldozer": bulldozer_pdn, "phenom": phenom_pdn}
-
-#: Die-stage fields scaled by the pdn tolerance axis.
-_DIE_FIELDS = ("resistance_ohm", "inductance_h", "capacitance_f", "esr_ohm")
-
-
-def scenario_platform(scenario: Scenario) -> MeasurementPlatform:
-    """The measurement platform a scenario's axes describe.
+def scenario_config(scenario: Scenario) -> tuple[ChipConfig, PdnParameters]:
+    """The chip and PDN configuration a scenario's axes describe.
 
     The chip axis picks the processor preset; the pdn axis scales every
     R/L/C/ESR field of the die stage by the tolerance factor — component
     tolerances on the stage that sets the first-droop resonance, i.e.
-    "the same hunt on the next board off the line".
+    "the same hunt on the next board off the line".  The registry's
+    descriptor derivation is that mapping, so a fleet record rebuilds
+    exactly the platform its shard measured on.
     """
-    chip = _CHIP_PRESETS[scenario.chip]()
-    pdn = _PDN_PRESETS[scenario.chip](vdd=chip.vdd)
-    scale = scenario.pdn_scale
-    if scale != 1.0:
-        scaled = {}
-        for name in _DIE_FIELDS:
-            scaled[name] = getattr(pdn.die, name) * scale
-        pdn = dataclasses.replace(pdn, die=dataclasses.replace(pdn.die, **scaled))
-    return MeasurementPlatform(chip, pdn)
+    # Deferred: every ``repro`` launch imports this module, and only
+    # launches that configure a scenario need the registry.
+    from repro.registry.provenance import platform_config, platform_descriptor
+
+    return platform_config(platform_descriptor(scenario.chip, pdn_scale=scenario.pdn_scale))
+
+
+def scenario_platform(scenario: Scenario) -> MeasurementPlatform:
+    """The measurement platform a scenario's axes describe."""
+    return MeasurementPlatform(*scenario_config(scenario))
 
 
 def classify_failure(error: BaseException) -> int:

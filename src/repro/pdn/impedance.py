@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.errors import PdnError
 from repro.pdn.network import PdnNetwork
@@ -66,9 +65,11 @@ def sweep_impedance(
         raise PdnError("need 0 < f_min < f_max")
     if points < 16:
         raise PdnError("need at least 16 sweep points")
+    from scipy import signal
+
     freqs = np.logspace(np.log10(f_min_hz), np.log10(f_max_hz), points)
     z = network.impedance(freqs)
-    peak_idx, _ = sp_signal.find_peaks(z)
+    peak_idx, _ = signal.find_peaks(z)
     # Order peaks by frequency and label them third/second/first.
     peak_idx = sorted(peak_idx)
     resonances = []

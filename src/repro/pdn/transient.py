@@ -22,6 +22,11 @@ The network's response never depends on the supply voltage, which only
 sets the operating point each solve is given.  :func:`shared_solver`
 therefore discretises a network once per process and serves it to every
 supply and every pipeline measuring on it.
+
+``scipy.signal`` (over a second to import) is imported inside the
+functions that use it, so launches that never solve do not pay for it;
+building a measurement platform discretises its network and pays it
+there.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from repro.errors import PdnError
 from repro.pdn.elements import PdnParameters
@@ -97,7 +101,7 @@ def _ss_to_sos(ad, bd, cd, dd) -> np.ndarray:
     eigenvalues of the Rosenbrock system pencil; the gain is fixed by
     matching the frequency response at one well-conditioned point.
     """
-    from scipy import linalg
+    from scipy import linalg, signal
 
     n = ad.shape[0]
     poles = np.linalg.eigvals(ad)
@@ -128,6 +132,8 @@ class TransientSolver:
     HARMONIC_CACHE_ENTRIES = 64
 
     def __init__(self, network: PdnNetwork, dt: float):
+        from scipy import signal
+
         if dt <= 0:
             raise PdnError("dt must be positive")
         self.network = network
@@ -189,6 +195,8 @@ class TransientSolver:
         if not np.isfinite(baseline_current_a):
             raise PdnError("baseline current must be finite")
         check_current_samples(load.samples, layer="pdn")
+        from scipy import signal
+
         deviation = load.samples - baseline_current_a
         response = signal.sosfilt(self._sos, deviation)
         dc = self.network.dc_droop(baseline_current_a)
@@ -271,6 +279,8 @@ class TransientSolver:
             raise PdnError("baseline current must be finite")
         for row in matrix:
             check_current_samples(row, layer="pdn")
+        from scipy import signal
+
         deviation = matrix - baselines[:, None]
         response = signal.sosfilt(self._sos, deviation, axis=-1)
         dcs = np.array([self.network.dc_droop(float(b)) for b in baselines])
@@ -283,6 +293,8 @@ class TransientSolver:
         """Discrete impulse response (volts per amp), for analysis/tests."""
         if samples < 1:
             raise PdnError("samples must be >= 1")
+        from scipy import signal
+
         impulse = np.zeros(samples)
         impulse[0] = 1.0
         return signal.sosfilt(self._sos, impulse)
@@ -305,6 +317,11 @@ def shared_solver(params: PdnParameters, dt: float) -> TransientSolver:
     key = (params.board, params.package, params.die, params.load_line_ohm, dt)
     solver = _SOLVERS.get(key)
     if solver is None:
+        # Load the module first, so the time a build takes (the
+        # ``pdn.build`` layer of benchmarks/perf) is discretisation
+        # alone, not the once-per-process import.
+        import scipy.signal  # noqa: F401
+
         solver = TransientSolver(PdnNetwork(params), dt)
         if len(_SOLVERS) >= SOLVER_MEMO_ENTRIES:
             _SOLVERS.pop(next(iter(_SOLVERS)), None)

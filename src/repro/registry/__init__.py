@@ -22,7 +22,9 @@ from repro.registry.compare import (
 from repro.registry.provenance import (
     build_platform,
     git_describe,
+    hash_config,
     hash_platform,
+    platform_config,
     platform_descriptor,
     provenance_stamp,
     telemetry_summary,
@@ -49,8 +51,10 @@ __all__ = [
     "compare_records",
     "export_records",
     "git_describe",
+    "hash_config",
     "hash_platform",
     "import_archive",
+    "platform_config",
     "platform_descriptor",
     "provenance_stamp",
     "rebuild_program",

@@ -3,11 +3,12 @@
 A registry record must outlive the session that produced it, so the
 identity of the measurement platform cannot be a live object — it is a
 tiny *descriptor* (chip preset name, optional FP throttle, PDN die-stage
-scale) from which :func:`build_platform` reconstructs the exact
-:class:`~repro.core.platform.MeasurementPlatform` the CLI testbeds and
-the fleet's :func:`~repro.fleet.shard.scenario_platform` build today.
-:func:`hash_platform` then fingerprints the *constructed* configuration
-(every chip and PDN parameter, via the frozen dataclasses' reprs), so
+scale) from which :func:`platform_config` derives the exact chip and PDN
+configuration the CLI testbeds and the fleet's
+:func:`~repro.fleet.shard.scenario_platform` measure on, and
+:func:`build_platform` the platform itself.  :func:`hash_config` then
+fingerprints that configuration (every chip and PDN parameter, via the
+frozen dataclasses' fields), so
 ``registry verify`` can detect that a preset drifted since publication
 even before re-measuring.
 
@@ -29,14 +30,13 @@ import time
 from repro import package_version
 from repro.core.platform import MeasurementPlatform
 from repro.errors import RegistryError
-from repro.pdn.elements import bulldozer_pdn, phenom_pdn
-from repro.uarch.config import bulldozer_chip, phenom_chip
+from repro.pdn.elements import PdnParameters, bulldozer_pdn, phenom_pdn
+from repro.uarch.config import ChipConfig, bulldozer_chip, phenom_chip
 
 _CHIP_PRESETS = {"bulldozer": bulldozer_chip, "phenom": phenom_chip}
 _PDN_PRESETS = {"bulldozer": bulldozer_pdn, "phenom": phenom_pdn}
 
-#: Die-stage fields scaled by the pdn tolerance axis — must match
-#: :data:`repro.fleet.shard._DIE_FIELDS`.
+#: Die-stage fields scaled by the pdn tolerance axis.
 _DIE_FIELDS = ("resistance_ohm", "inductance_h", "capacitance_f", "esr_ohm")
 
 
@@ -55,12 +55,13 @@ def platform_descriptor(chip: str, *, throttle: int | None = None,
     }
 
 
-def build_platform(descriptor: dict) -> MeasurementPlatform:
-    """Reconstruct the platform a descriptor was taken from.
+def platform_config(descriptor: dict) -> tuple[ChipConfig, PdnParameters]:
+    """The chip and PDN configuration a descriptor names.
 
-    Mirrors the CLI testbeds (chip preset + optional FP throttle, default
-    jitter seed) and the fleet's die-stage PDN scaling, so a record
-    published by any of the three paths rebuilds bit-identically.
+    Mirrors the CLI testbeds (chip preset + optional FP throttle) and the
+    fleet's die-stage PDN scaling, so a record published by any of the
+    three paths rebuilds bit-identically.  Building no platform, it
+    discretises no network: hashing a descriptor stays cheap.
     """
     chip_name = descriptor.get("chip")
     if chip_name not in _CHIP_PRESETS:
@@ -76,10 +77,21 @@ def build_platform(descriptor: dict) -> MeasurementPlatform:
     if scale != 1.0:
         scaled = {name: getattr(pdn.die, name) * scale for name in _DIE_FIELDS}
         pdn = dataclasses.replace(pdn, die=dataclasses.replace(pdn.die, **scaled))
-    return MeasurementPlatform(chip, pdn)
+    return chip, pdn
+
+
+def build_platform(descriptor: dict) -> MeasurementPlatform:
+    """Reconstruct the platform a descriptor was taken from
+    (default jitter seed)."""
+    return MeasurementPlatform(*platform_config(descriptor))
 
 
 def hash_platform(platform) -> str:
+    """:func:`hash_config` of a platform's chip and PDN."""
+    return hash_config(platform.chip, platform.pipeline.pdn_stage.pdn)
+
+
+def hash_config(chip: ChipConfig, pdn: PdnParameters) -> str:
     """sha256 prefix over the full chip + PDN configuration.
 
     ``ChipConfig`` and the PDN parameter classes are frozen dataclasses,
@@ -90,8 +102,8 @@ def hash_platform(platform) -> str:
     measurements for the same program.
     """
     payload = {
-        "chip": _canonical(dataclasses.asdict(platform.chip)),
-        "pdn": _canonical(dataclasses.asdict(platform.pipeline.pdn_stage.pdn)),
+        "chip": _canonical(dataclasses.asdict(chip)),
+        "pdn": _canonical(dataclasses.asdict(pdn)),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

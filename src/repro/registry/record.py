@@ -22,7 +22,12 @@ import json
 from dataclasses import dataclass, field
 
 from repro.errors import RegistryError
-from repro.registry.provenance import hash_platform, platform_descriptor
+from repro.registry.provenance import (
+    hash_config,
+    hash_platform,
+    platform_config,
+    platform_descriptor,
+)
 
 #: Bumped when the record layout changes incompatibly.
 RECORD_VERSION = 1
@@ -248,7 +253,6 @@ def record_from_qualification(report, *, platform, descriptor: dict,
 def record_from_shard(result, *, provenance: dict | None = None) -> RegistryRecord:
     """A record for one banked OK fleet shard (:class:`ShardResult`)."""
     from repro.core.audit import AuditConfig
-    from repro.registry.provenance import build_platform
 
     if result.genome is None:
         raise RegistryError(
@@ -269,7 +273,7 @@ def record_from_shard(result, *, provenance: dict | None = None) -> RegistryReco
         name=result.scenario_id,
         program=_genome_program(genome, replications),
         platform=descriptor,
-        platform_hash=hash_platform(build_platform(descriptor)),
+        platform_hash=hash_config(*platform_config(descriptor)),
         threads=int(scenario["threads"]),
         droop_v=float(result.droop_v),
         mode=str(scenario.get("mode", "")),

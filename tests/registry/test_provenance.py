@@ -10,7 +10,9 @@ from repro import package_version
 from repro.errors import RegistryError
 from repro.registry import (
     build_platform,
+    hash_config,
     hash_platform,
+    platform_config,
     platform_descriptor,
     provenance_stamp,
 )
@@ -93,6 +95,23 @@ class TestHashStability:
 
         other = MeasurementPlatform(platform.chip, drifted)
         assert hash_platform(platform) != hash_platform(other)
+
+
+class TestDescriptorHash:
+    """A record's hash needs no platform: the descriptor's configuration
+    hashes exactly like the platform built from it."""
+
+    @pytest.mark.parametrize("chip", ["bulldozer", "phenom"])
+    @pytest.mark.parametrize("throttle", [None, 2])
+    @pytest.mark.parametrize("pdn_scale", [1.0, 1.1])
+    def test_config_hash_matches_built_platform(self, chip, throttle, pdn_scale):
+        descriptor = platform_descriptor(chip, throttle=throttle, pdn_scale=pdn_scale)
+        assert (hash_config(*platform_config(descriptor))
+                == hash_platform(build_platform(descriptor)))
+
+    def test_nominal_bulldozer_hash_is_pinned(self):
+        descriptor = platform_descriptor("bulldozer")
+        assert hash_config(*platform_config(descriptor)) == "552f0731089fb700"
 
 
 class TestStamp:

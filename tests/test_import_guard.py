@@ -1,0 +1,89 @@
+"""``scipy.signal`` loads when a platform is built, not when ``repro`` starts.
+
+Launches that never solve a PDN (``--version``, registry listings, fleet
+status, a fleet resume served from its bank) must not pay the import;
+every process that will solve pays it while building its platform.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.fleet import FleetOrchestrator, ScenarioMatrix
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+MATRIX = ScenarioMatrix(chip=("bulldozer",), threads=(1,), budget=("4x2",), seed=(1,))
+
+
+#: ``python -m repro ARGS``, then report whether ``scipy.signal`` was
+#: imported and the launch's exit status.
+LAUNCH = """
+import runpy, sys
+status = 0
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    status = stop.code or 0
+print("scipy.signal" in sys.modules, status)
+"""
+
+
+def loads_signal(*code_and_args) -> bool:
+    """Whether a fresh interpreter running ``python -c *code_and_args``
+    imports ``scipy.signal``; the code prints the answer last."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", *code_and_args],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    loaded, *status = out.stdout.split("\n")[-2].split()
+    assert status in ([], ["0"]), out.stdout[-2000:]
+    return loaded == "True"
+
+
+@pytest.fixture(scope="module")
+def finished_fleet(tmp_path_factory):
+    """A one-shard fleet, run to completion, that published to a registry."""
+    root = tmp_path_factory.mktemp("guarded-fleet")
+    FleetOrchestrator(MATRIX, root / "fleet", workers=1,
+                      registry_dir=root / "registry").run()
+    return root
+
+
+class TestLaunchesThatNeverSolve:
+    def test_importing_the_cli(self):
+        assert not loads_signal("import sys, repro.cli; print('scipy.signal' in sys.modules)")
+
+    def test_version(self):
+        assert not loads_signal(LAUNCH, "--version")
+
+    def test_registry_list_on_an_empty_registry(self, tmp_path):
+        assert not loads_signal(LAUNCH, "registry", "list", str(tmp_path / "empty"))
+
+    def test_fleet_status_of_a_finished_fleet(self, finished_fleet):
+        assert not loads_signal(LAUNCH, "fleet", "status", str(finished_fleet / "fleet"))
+
+    def test_banked_fleet_resume_with_registry(self, finished_fleet):
+        assert not loads_signal(LAUNCH, "fleet", "run", "--resume",
+                                str(finished_fleet / "fleet"))
+
+    def test_a_launch_that_solves_does_load_it(self, finished_fleet):
+        registry = finished_fleet / "registry"
+        record_id = json.loads((registry / "index.jsonl").read_text().splitlines()[0])["record_id"]
+        assert loads_signal(LAUNCH, "registry", "verify", str(registry), record_id)
+
+
+def test_building_a_platform_discretises_its_network(monkeypatch):
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.pdn import transient
+
+    monkeypatch.setattr(transient, "_SOLVERS", {})
+    platform = bulldozer_testbed()
+    pdn = platform.pipeline.pdn_stage.pdn
+    key = (pdn.board, pdn.package, pdn.die, pdn.load_line_ohm, platform.chip.cycle_time_s)
+    assert list(transient._SOLVERS) == [key]
+    assert platform.pipeline.pdn_stage.solver is transient._SOLVERS[key]
