@@ -87,13 +87,11 @@ def _tracing_scope(args, observers):
 
 def _fault_policy(args) -> FaultPolicy | None:
     """A FaultPolicy from the campaign CLI flags (None = fail-fast)."""
-    if (args.eval_retries is None and args.eval_timeout is None
-            and args.on_fault is None):
+    if args.eval_retries is None and args.on_fault is None:
         return None
     return FaultPolicy(
         max_retries=args.eval_retries if args.eval_retries is not None else 2,
         backoff_s=args.eval_backoff,
-        eval_timeout_s=args.eval_timeout,
         on_exhaust=args.on_fault or "raise",
     )
 
@@ -113,18 +111,20 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
-    """Process-supervision knobs shared by audit/qualify/fleet campaigns."""
+    """Process-supervision knobs of the ``audit`` campaign.
+
+    (``fleet run`` declares its own per-shard equivalents.)
+    """
     parser.add_argument(
         "--eval-hard-timeout", type=float, default=None, metavar="SECONDS",
-        help="hard per-evaluation deadline under --workers: a stuck worker "
-             "is killed, the pool respawned, and the genome handed to the "
-             "fault policy (unlike --eval-timeout, which only measures "
-             "attempts that return)")
+        help="hard per-evaluation deadline: evaluations run in a supervised "
+             "worker pool (one worker unless --workers says more), a stuck "
+             "worker is killed, the pool respawned, and the genome handed "
+             "to the fault policy")
     parser.add_argument(
         "--max-pool-rebuilds", type=int, default=None, metavar="N",
         help="total worker-pool respawns (hangs + crashes) tolerated per "
-             "evaluation batch before the run is declared systemically "
-             "unstable (default 5)")
+             "run before it is declared systemically unstable (default 5)")
     parser.add_argument(
         "--max-wall-clock", type=float, default=None, metavar="SECONDS",
         help="stop gracefully after this much wall time: finish the "
@@ -145,15 +145,11 @@ def _shutdown_coordinator(args, observers):
 def _make_supervised_executor(args, observers):
     """The campaign executor from --workers + supervision flags."""
     from repro.core.engine import make_executor
-    from repro.supervision.executor import DEFAULT_MAX_POOL_REBUILDS
 
-    rebuilds = getattr(args, "max_pool_rebuilds", None)
     return make_executor(
-        getattr(args, "workers", None),
-        hard_timeout_s=getattr(args, "eval_hard_timeout", None),
-        max_pool_rebuilds=(
-            rebuilds if rebuilds is not None else DEFAULT_MAX_POOL_REBUILDS
-        ),
+        args.workers,
+        hard_timeout_s=args.eval_hard_timeout,
+        max_pool_rebuilds=args.max_pool_rebuilds,
         observers=observers,
     )
 
@@ -181,10 +177,6 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--eval-backoff", type=float, default=0.0, metavar="SECONDS",
         help="base backoff between retries (doubles per attempt)")
-    parser.add_argument(
-        "--eval-timeout", type=float, default=None, metavar="SECONDS",
-        help="watchdog budget per evaluation; slower attempts count as "
-             "faults (enables the fault policy)")
     parser.add_argument(
         "--on-fault", default=None, choices=("raise", "skip", "penalize"),
         help="what to do with a genome once retries are exhausted: kill "

@@ -38,7 +38,6 @@ from repro.core.dithering import (
 )
 from repro.core.engine import (
     EvaluationEngine,
-    ParallelExecutor,
     SerialExecutor,
     StressmarkFitness,
     make_executor,
@@ -124,7 +123,6 @@ __all__ = [
     "MeasurementPlatform",
     "NOMINAL",
     "PASS",
-    "ParallelExecutor",
     "Perturbation",
     "QualificationCheckpoint",
     "QualificationEvent",

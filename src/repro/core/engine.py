@@ -11,10 +11,11 @@ this module provides:
   (``evaluate_many``), and emits :class:`~repro.core.telemetry.EvaluationEvent`
   telemetry through any registered observers.
 * Executors are pluggable: :class:`SerialExecutor` (default — deterministic,
-  shares the in-process platform and all its caches) and
-  :class:`ParallelExecutor` (a ``concurrent.futures.ProcessPoolExecutor``
-  fan-out — one GA generation's unevaluated genomes are independent, so a
-  24-genome generation scales near-linearly with workers).
+  shares the in-process platform and all its caches) and the process pool
+  :class:`~repro.supervision.executor.SupervisedExecutor` (one GA
+  generation's unevaluated genomes are independent, so a 24-genome
+  generation scales near-linearly with workers; hung and crashed workers
+  are killed and respawned).  :func:`make_executor` picks one.
 * :class:`StressmarkFitness` is the pipeline itself as a *picklable*
   callable: workers rebuild the measurement platform from a
   ``platform_factory`` exactly once per process and keep it (and its
@@ -30,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Protocol, Sequence, TypeVar
 
@@ -49,13 +49,6 @@ from repro.core.telemetry import (
     notify,
 )
 from repro.errors import ConfigurationError
-from repro.supervision.executor import (
-    DEFAULT_MAX_POOL_REBUILDS,
-    SupervisedExecutor,
-    SupervisorFault,
-    WorkerCrashError,
-    WorkerHangError,
-)
 
 G = TypeVar("G", bound=Hashable)
 
@@ -67,7 +60,6 @@ class FitnessExecutor(Protocol):
     """How a batch of independent fitness evaluations actually runs."""
 
     name: str
-    workers: int
 
     def map(self, fn: Callable, items: Sequence) -> list: ...
 
@@ -78,7 +70,6 @@ class SerialExecutor:
     """In-process evaluation: the default, cache-warm and dependency-free."""
 
     name = "serial"
-    workers = 1
 
     def map(self, fn: Callable, items: Sequence) -> list:
         return [fn(item) for item in items]
@@ -87,83 +78,36 @@ class SerialExecutor:
         pass
 
 
-class ParallelExecutor:
-    """Process-pool evaluation via ``concurrent.futures``.
-
-    The mapped callable and its items must be picklable — for stressmark
-    fitness that means constructing the engine with a ``platform_factory``
-    (a module-level function such as
-    :func:`repro.experiments.setup.bulldozer_testbed`).  The pool is created
-    lazily on first use and reused across batches so workers keep their
-    rebuilt platforms (and module-trace caches) warm.
-    """
-
-    name = "parallel"
-
-    def __init__(self, workers: int = 2):
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        self.workers = workers
-        self._pool: ProcessPoolExecutor | None = None
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        items = list(items)
-        if not items:
-            return []
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        # One chunk per worker per batch: amortises the per-chunk pickle of
-        # ``fn`` (which carries the platform spec) without starving workers.
-        chunksize = max(1, -(-len(items) // self.workers))
-        try:
-            return list(self._pool.map(fn, items, chunksize=chunksize))
-        except BaseException:
-            # A worker exception mid-batch must not leak the pool: cancel
-            # what has not started and shut the processes down before the
-            # error propagates (callers rarely get to call close() on the
-            # exception path).
-            self._abort()
-            raise
-
-    def _abort(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def make_executor(
     workers: int | None,
     *,
     hard_timeout_s: float | None = None,
-    max_pool_rebuilds: int = DEFAULT_MAX_POOL_REBUILDS,
+    max_pool_rebuilds: int | None = None,
     observers: Sequence[RunObserver] = (),
-) -> SerialExecutor | SupervisedExecutor:
-    """`workers` <= 1 (or None) → serial; otherwise a supervised pool.
+) -> FitnessExecutor:
+    """The campaign executor: serial in-process, or a supervised pool.
 
-    Parallel evaluation always goes through the
-    :class:`~repro.supervision.executor.SupervisedExecutor` so worker
-    crashes are recovered (pool respawn + crash isolation) even without a
-    hard deadline; pass ``hard_timeout_s`` to also kill evaluations that
-    hang past it.  The bare :class:`ParallelExecutor` remains available
-    for callers that explicitly want unsupervised ``pool.map`` semantics.
+    ``workers`` > 1 runs a
+    :class:`~repro.supervision.executor.SupervisedExecutor`, so worker
+    crashes are recovered (pool respawn + crash isolation).  A
+    ``hard_timeout_s`` also selects the supervised pool — with one worker
+    if ``workers`` <= 1 — because only a separate process can be killed
+    when an evaluation hangs past its deadline.  ``max_pool_rebuilds``
+    defaults to the supervisor's budget.
     """
-    if workers is None or workers <= 1:
+    pooled = workers is not None and workers > 1
+    if not pooled and hard_timeout_s is None:
         return SerialExecutor()
+    # Deferred: repro.supervision imports repro.core, so importing it at
+    # module level would make the two packages circular.
+    from repro.supervision.executor import DEFAULT_MAX_POOL_REBUILDS, SupervisedExecutor
+
     return SupervisedExecutor(
-        workers,
+        workers if pooled else 1,
         task_timeout_s=hard_timeout_s,
-        max_pool_rebuilds=max_pool_rebuilds,
+        max_pool_rebuilds=(
+            DEFAULT_MAX_POOL_REBUILDS if max_pool_rebuilds is None else max_pool_rebuilds
+        ),
         observers=observers,
     )
 
@@ -385,9 +329,14 @@ class EvaluationEngine(Generic[G]):
             fault_policy=fault_policy,
         )
 
+    @property
+    def _pooled(self) -> bool:
+        """Whether fitness runs in worker processes (anything not serial)."""
+        return not isinstance(self.executor, SerialExecutor)
+
     def _check_executor(self) -> None:
         if (
-            getattr(self.executor, "workers", 1) > 1
+            self._pooled
             and getattr(self.fitness, "requires_platform_factory", False)
             and getattr(self.fitness, "platform_factory", None) is None
         ):
@@ -461,23 +410,22 @@ class EvaluationEngine(Generic[G]):
         per genome, so each worker or retried attempt measures a batch
         of one; the values are bit-identical either way.
 
-        On a parallel executor the task ships what the worker did back
+        On a process pool the task ships what the worker did back
         on its outcome: the worker platform's counters (``_ShipMetrics``)
         and, under an active tracer, the ``worker.eval`` (+ pipeline)
         spans it recorded (:class:`~repro.obs.spans.TracedTask`).  Both
         re-enter the parent here: the counters merge into the engine
         platform's registry, the spans into the ordinary observer chain.
         """
-        parallel = getattr(self.executor, "workers", 1) > 1
         batch_eval = getattr(self.fitness, "evaluate_batch", None)
-        if batch_eval is not None and self.fault_policy is None and not parallel:
+        if batch_eval is not None and self.fault_policy is None and not self._pooled:
             outcomes = batch_eval(fresh)
         else:
             if self.fault_policy is None:
                 task = _TimedFitness(self.fitness)
             else:
                 task = GuardedFitness(self.fitness, self.fault_policy)
-            if parallel:
+            if self._pooled:
                 task = _ShipMetrics(task)
                 tracer = current_tracer()
                 if tracer is not None:
@@ -511,8 +459,10 @@ class EvaluationEngine(Generic[G]):
         :class:`~repro.supervision.executor.WorkerHangError` /
         :class:`~repro.supervision.executor.WorkerCrashError`.
         """
-        if not isinstance(outcome, SupervisorFault):
+        if isinstance(outcome, EvalOutcome):
             return outcome
+        from repro.supervision.executor import WorkerCrashError, WorkerHangError
+
         label = _genome_label(genome)
         tracer = current_tracer()
         if tracer is not None:

@@ -7,8 +7,11 @@ routine, not fatal.  This module gives the evaluation engine the same
 discipline:
 
 * :class:`FaultPolicy` — declarative per-evaluation fault handling:
-  how many retries, what backoff, a watchdog budget, and what to do when a
-  genome's measurement keeps failing (``raise`` / ``skip`` / ``penalize``).
+  how many retries, what backoff, and what to do when a genome's
+  measurement keeps failing (``raise`` / ``skip`` / ``penalize``).  Hangs
+  are not this layer's job: a hung attempt never returns to be judged, so
+  the hard deadline lives in :mod:`repro.supervision.executor`, which
+  kills the worker process.
 * :class:`GuardedFitness` — wraps any fitness callable so a backend fault
   becomes a retried attempt instead of a dead campaign.  Picklable, so the
   retry loop runs *inside* process-pool workers.
@@ -44,15 +47,11 @@ class InjectedFaultError(MeasurementError):
 
 
 class InjectedHangError(MeasurementError):
-    """A simulated hang (watchdog-killed measurement) from the chaos wrapper."""
+    """A simulated hang (a capture that timed out) from the chaos wrapper."""
 
 
 class CorruptMeasurementError(MeasurementError):
     """A measurement produced a non-finite fitness value."""
-
-
-class EvaluationTimeoutError(MeasurementError):
-    """An evaluation exceeded the policy's watchdog budget."""
 
 
 class QuarantineExhaustedError(MeasurementError):
@@ -71,9 +70,6 @@ class QuarantineExhaustedError(MeasurementError):
 class FaultPolicy:
     """How the evaluation engine reacts to a failing measurement.
 
-    ``eval_timeout_s`` is a cooperative watchdog: an attempt whose wall time
-    exceeds it is discarded and counted as a timeout fault (on the paper's
-    testbed, the watchdog kills the capture and the value never arrives).
     ``on_exhaust`` decides the fate of a genome once every attempt failed:
 
     * ``"raise"``  — propagate the last error and kill the run (default,
@@ -86,7 +82,6 @@ class FaultPolicy:
     max_retries: int = 2
     backoff_s: float = 0.0
     backoff_factor: float = 2.0
-    eval_timeout_s: float | None = None
     on_exhaust: str = "raise"
     penalty_fitness: float = 0.0
 
@@ -97,8 +92,6 @@ class FaultPolicy:
             raise ConfigurationError("backoff_s must be >= 0")
         if self.backoff_factor < 1.0:
             raise ConfigurationError("backoff_factor must be >= 1")
-        if self.eval_timeout_s is not None and self.eval_timeout_s <= 0:
-            raise ConfigurationError("eval_timeout_s must be positive")
         if self.on_exhaust not in EXHAUST_ACTIONS:
             raise ConfigurationError(
                 f"on_exhaust must be one of {EXHAUST_ACTIONS}, "
@@ -119,6 +112,7 @@ class FaultPolicy:
 class FaultRecord:
     """One failed evaluation attempt.
 
+    ``timeout`` marks an attempt killed at the supervisor's hard deadline.
     ``invariant``/``layer`` are set when the failure was a runtime
     invariant guard firing (corrupt numerics), so telemetry can emit an
     :class:`~repro.core.telemetry.InvariantEvent` alongside the fault.
@@ -135,7 +129,6 @@ def fault_record_from(error: Exception) -> FaultRecord:
     is_invariant = isinstance(error, InvariantViolation)
     return FaultRecord(
         error=f"{type(error).__name__}: {error}",
-        timeout=isinstance(error, EvaluationTimeoutError),
         invariant=error.guard if is_invariant else "",
         layer=error.layer if is_invariant else "",
     )
@@ -170,13 +163,11 @@ class EvalOutcome:
         return self.value is None
 
 
-def retry(attempt, policy: FaultPolicy, *, value_of=float,
-          watchdog: bool = False, on_fault=None):
+def retry(attempt, policy: FaultPolicy, *, value_of=float, on_fault=None):
     """Call ``attempt()`` until it succeeds or *policy* runs out of retries.
 
     The one retry loop of the fault layer.  An attempt fails when it
-    raises, when ``value_of(result)`` is not finite (a corrupt capture),
-    or — with *watchdog* — when it outlasts ``policy.eval_timeout_s``.
+    raises or when ``value_of(result)`` is not finite (a corrupt capture).
     Each failure is recorded as a :class:`FaultRecord` and handed to
     ``on_fault(error, attempt_number, final)``; backoff sleeps between
     attempts.  Returns ``(result, attempts, faults, last_error)``, where
@@ -185,20 +176,12 @@ def retry(attempt, policy: FaultPolicy, *, value_of=float,
     faults: list[FaultRecord] = []
     attempts = policy.max_retries + 1
     for number in range(1, attempts + 1):
-        start = time.perf_counter()
         try:
             result = attempt()
             value = value_of(result)
             if not math.isfinite(value):
                 raise CorruptMeasurementError(
                     f"measurement produced non-finite value {value!r}"
-                )
-            wall = time.perf_counter() - start
-            if (watchdog and policy.eval_timeout_s is not None
-                    and wall > policy.eval_timeout_s):
-                raise EvaluationTimeoutError(
-                    f"evaluation took {wall:.3f}s "
-                    f"(watchdog budget {policy.eval_timeout_s}s)"
                 )
             return result, number, tuple(faults), None
         except Exception as error:
@@ -240,7 +223,7 @@ class GuardedFitness:
     def __call__(self, genome) -> EvalOutcome:
         start = time.perf_counter()
         value, attempts, faults, error = retry(
-            lambda: float(self.fitness(genome)), self.policy, watchdog=True,
+            lambda: float(self.fitness(genome)), self.policy
         )
         if error is not None and self.policy.on_exhaust == "raise":
             raise _exhausted("evaluation", attempts, error) from error
@@ -310,7 +293,6 @@ class RetryingMeasurements:
                 error=f"{type(error).__name__}: {error}",
                 attempt=attempt,
                 action="quarantine" if final else "retry",
-                timeout=isinstance(error, EvaluationTimeoutError),
             ))
 
         measurement, attempts, _faults, error = retry(
@@ -441,13 +423,12 @@ class FaultInjectingBackend:
         if fault == "abort":
             self.counts.aborts += 1
             # A segfault does not unwind the stack or flush buffers;
-            # neither does os._exit.  The parent sees BrokenProcessPool.
+            # neither does os._exit.  The parent sees its worker pool break.
             os._exit(86)
         self.counts.hang_forevers += 1
         if self.config.hang_forever_s:
             time.sleep(self.config.hang_forever_s)
-        # Only reached when hang_forever_s is short (serial test rigs) or
-        # a cooperative-timeout test outlasts the sleep.
+        # Only reached when hang_forever_s is short (serial test rigs).
         raise InjectedHangError(
             f"injected hang-forever outlasted its sleep "
             f"(call {self.counts.calls})"
@@ -499,7 +480,7 @@ class FaultInjectingBackend:
             if self.config.hang_s:
                 time.sleep(self.config.hang_s)
             raise InjectedHangError(
-                f"injected backend hang, watchdog fired (call {call})"
+                f"injected backend hang, capture timed out (call {call})"
             )
 
     # ------------------------------------------------------------------

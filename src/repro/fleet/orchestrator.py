@@ -33,12 +33,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import signal
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from repro.core.atomicio import atomic_write_json, atomic_write_text
@@ -69,31 +66,14 @@ from repro.obs.spans import current_tracer, span
 from repro.pdn.transient import shared_solver
 from repro.supervision.executor import (
     DEFAULT_MAX_POOL_REBUILDS,
-    SupervisionExhaustedError,
-    kill_pool_processes,
+    SupervisedExecutor,
+    SupervisorFault,
 )
 
 FLEET_FILE = "fleet.json"
 
 #: Bumped when the fleet meta layout changes incompatibly.
 FLEET_VERSION = 1
-
-#: Poll cadence (seconds) for shard deadlines and stop checks.
-_POLL_S = 0.2
-
-
-@dataclasses.dataclass
-class _ShardFlight:
-    """Book-keeping for one in-flight shard future."""
-
-    chain_index: int
-    index: int
-    scenario_id: str
-    submitted_at: float
-    started_at: float | None = None
-    """First moment the future was observed ``running()`` — the shard
-    hard deadline counts from here, so queued shards are never charged
-    for time spent waiting on a worker slot."""
 
 
 def chain_schedule(scenarios) -> tuple:
@@ -240,6 +220,15 @@ class FleetOrchestrator:
             msg = f"fleet meta version {version!r} in {meta_path} is not supported"
             raise CheckpointError(f"{msg} (expected {FLEET_VERSION})")
         policy = payload.get("fault_policy")
+        if policy is not None:
+            known = {field.name for field in dataclasses.fields(FaultPolicy)}
+            for key in sorted(set(policy) - known):
+                # A field this version no longer has (an older fleet's
+                # cooperative timeout): unset it changes nothing, set it
+                # cannot be honoured.
+                if policy.pop(key) is not None:
+                    msg = f"fault_policy.{key} in {meta_path} is no longer supported"
+                    raise CheckpointError(msg)
         return cls(
             ScenarioMatrix.from_dict(payload["matrix"]),
             fleet_dir,
@@ -440,14 +429,18 @@ class FleetOrchestrator:
                 result = self.task_fn(spec)
                 self._on_result(result, results, start, running=0)
 
-    def _failed_shard(self, chains, flight: _ShardFlight, error: str) -> ShardResult:
+    def _failed_shard(self, scenario, error: str) -> ShardResult:
         """A synthesized result for a shard the supervisor gave up on.
 
         Deliberately *not* banked to ``result.json``: the next fleet run
         retries the shard from its campaign checkpoint, so a transient
         host problem does not permanently poison the scenario.
         """
-        scenario = chains[flight.chain_index][flight.index]
+        tracer = current_tracer()
+        if tracer is not None:
+            # The shard died holding its span buffer: close the loss
+            # explicitly so the trace tree has no dangling branch.
+            tracer.lost("fleet.shard", scenario=scenario.scenario_id, error=error)
         return ShardResult(
             scenario=scenario.axes(),
             scenario_id=scenario.scenario_id,
@@ -457,26 +450,21 @@ class FleetOrchestrator:
         )
 
     def _run_pool(self, chains, full_chains, results, start) -> None:
-        """The supervised pool loop.
+        """Run the chains on a :class:`SupervisedExecutor`.
 
-        Beyond the original submit/collect cycle this adds:
-
-        * a hard per-shard deadline (``shard_timeout_s``, measured from
-          the first ``running()`` observation) — overrun SIGKILLs the
-          pool, respawns it, requeues the innocent in-flight shards
-          (they resume from their checkpoints) and retries or fails the
-          hung one;
-        * worker-crash recovery — a ``BrokenProcessPool`` kills and
-          respawns the pool; a lone victim takes a strike, several
-          victims are replayed one at a time (suspects isolation) so
-          only the actual crasher accumulates strikes;
-        * a shared ``max_pool_rebuilds`` budget across both, after which
-          :class:`SupervisionExhaustedError` declares the host unstable;
-        * a graceful drain — a ``stop_check`` reason stops new
-          submissions, forwards SIGTERM to the shard workers (each runs
-          its own ShutdownCoordinator, checkpoints, and returns an
-          ``interrupted`` result), then raises
-          :class:`~repro.errors.CampaignInterrupted`.
+        Chain scheduling is the submit policy: a shard's spec is built
+        when a worker slot frees up (its seeding reads what its chain
+        predecessors banked), and a finished shard queues its chain
+        successor.  The supervisor enforces the hard per-shard deadline
+        (``shard_timeout_s``, from the first ``running()`` observation),
+        recovers worker crashes by suspect isolation (``shard_retries``
+        crash strikes), and draws both from one ``max_pool_rebuilds``
+        budget.  A hung shard comes back as a fault; it is resubmitted —
+        resuming from its checkpoint — while it has ``shard_retries``
+        left.  A ``stop_check`` reason drains the fleet: no new
+        submissions, SIGTERM to the shard workers (each runs its own
+        ShutdownCoordinator, checkpoints, and returns an ``interrupted``
+        result), then :class:`~repro.errors.CampaignInterrupted`.
         """
         queue: deque = deque()
         for chain_index, chain in enumerate(chains):
@@ -487,244 +475,87 @@ class FleetOrchestrator:
                 # instead of each building its own.
                 chip, pdn = scenario_config(chain[0])
                 shared_solver(pdn, chip.cycle_time_s)
-        suspects: deque = deque()
-        strikes: dict = {}
-        inflight: dict = {}
-        rebuilds = 0
+        positions: dict = {}  # in-flight scenario_id -> (chain_index, index)
+        hang_strikes: dict = {}
         stop_reason: str | None = None
-        pool = ProcessPoolExecutor(max_workers=self.workers)
+        executor = SupervisedExecutor(
+            self.workers,
+            task_timeout_s=self.shard_timeout_s,
+            max_pool_rebuilds=self.max_pool_rebuilds,
+            crash_retries=self.shard_retries,
+            observers=self.observers,
+        )
 
-        def submit_from(source: deque) -> None:
-            chain_index, index = source.popleft()
+        def next_task():
+            if not queue:
+                return None
+            chain_index, index = queue.popleft()
             spec = self._full_spec(chains, full_chains, chain_index, index)
             scenario_id = spec.scenario.scenario_id
+            positions[scenario_id] = (chain_index, index)
             notify(self.observers, ShardEvent(scenario=scenario_id, status="started"))
-            future = pool.submit(self.task_fn, spec)
-            inflight[future] = _ShardFlight(
-                chain_index, index, scenario_id, time.monotonic()
-            )
+            return scenario_id, spec
 
-        def fill() -> None:
-            if self._stopping:
-                return
-            if suspects:
-                # Isolation mode: replay one suspect at a time so a crash
-                # unambiguously identifies its culprit.
-                if not inflight:
-                    submit_from(suspects)
-                return
-            while queue and len(inflight) < self.workers:
-                submit_from(queue)
-
-        def advance(flight: _ShardFlight) -> None:
+        def on_result(scenario_id: str, result) -> None:
+            chain_index, index = positions.pop(scenario_id)
+            if isinstance(result, SupervisorFault):
+                if result.kind == "interrupted":
+                    # Killed by the drain's SIGTERM; the shard resumes
+                    # from its checkpoint on the next fleet run.
+                    event = ShardEvent(scenario=scenario_id, status="interrupted")
+                    notify(self.observers, event)
+                    return
+                if result.kind == "hang":
+                    strikes = hang_strikes.get(scenario_id, 0) + 1
+                    hang_strikes[scenario_id] = strikes
+                    if strikes <= self.shard_retries:
+                        # Retry resumes from the shard checkpoint, so only
+                        # the in-flight generation is re-run.
+                        queue.appendleft((chain_index, index))
+                        return
+                    error = f"WorkerHangError: {result.error}; gave up after {strikes} attempt(s)"
+                    # The supervisor gives up on crashes itself; hangs it
+                    # hands back for the retry decision made here.
+                    event = SupervisorEvent(action="give-up", task=scenario_id, detail=error)
+                    notify(self.observers, event)
+                else:
+                    error = f"WorkerCrashError: {result.error}"
+                result = self._failed_shard(chains[chain_index][index], error)
             # Next-in-chain first, so its seeding sees whatever the
-            # finished shard banked.  Nothing new enters the queue once
-            # a drain has begun.
-            if self._stopping:
+            # finished shard banked.  Nothing new is queued once a drain
+            # has begun.
+            if not self._stopping and index + 1 < len(chains[chain_index]):
+                queue.append((chain_index, index + 1))
+            self._on_result(result, results, start, running=len(positions))
+
+        def drain_on_stop() -> None:
+            nonlocal stop_reason
+            reason = None if self._stopping else self._check_stop()
+            if not reason:
                 return
-            if flight.index + 1 < len(chains[flight.chain_index]):
-                queue.append((flight.chain_index, flight.index + 1))
-
-        def finish(flight: _ShardFlight, result: ShardResult) -> None:
-            advance(flight)
-            self._on_result(result, results, start, running=len(inflight))
-
-        def respawn(detail: str) -> None:
-            nonlocal pool, rebuilds
-            rebuilds += 1
-            kill_pool_processes(pool)
-            if rebuilds > self.max_pool_rebuilds:
-                raise SupervisionExhaustedError(
-                    f"fleet pool rebuilt {rebuilds - 1} time(s) (budget "
-                    f"{self.max_pool_rebuilds}); the host looks systemically "
-                    f"unstable (last cause: {detail})"
-                )
-            notify(self.observers, SupervisorEvent(
-                action="respawn", detail=detail, respawns=rebuilds,
-            ))
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-
-        def give_up(flight: _ShardFlight, error: str) -> None:
-            notify(self.observers, SupervisorEvent(
-                action="give-up", task=flight.scenario_id, detail=error,
-            ))
-            tracer = current_tracer()
-            if tracer is not None:
-                # The shard died holding its span buffer: close the loss
-                # explicitly so the trace tree has no dangling branch.
-                tracer.lost(
-                    "fleet.shard", scenario=flight.scenario_id, error=error
-                )
-            finish(flight, self._failed_shard(chains, flight, error))
-
-        def harvest_or_condemn() -> list:
-            """Drain inflight: completed futures finish normally, the
-            rest are victims of the pool going down."""
-            victims = []
-            for future in list(inflight):
-                flight = inflight.pop(future)
-                if future.done():
-                    try:
-                        result = future.result()
-                    except BaseException:  # noqa: BLE001 — pool death
-                        victims.append(flight)
-                    else:
-                        finish(flight, result)
-                else:
-                    victims.append(flight)
-            return victims
-
-        def handle_crash() -> None:
-            victims = harvest_or_condemn()
-            if len(victims) == 1:
-                flight = victims[0]
-                key = (flight.chain_index, flight.index)
-                strikes[key] = strikes.get(key, 0) + 1
-                notify(self.observers, SupervisorEvent(
-                    action="crash", task=flight.scenario_id,
-                    detail=f"worker process died (strike {strikes[key]})",
-                ))
-                if strikes[key] > self.shard_retries:
-                    give_up(flight, (
-                        f"WorkerCrashError: shard worker died "
-                        f"{strikes[key]} time(s); giving up"
-                    ))
-                else:
-                    suspects.appendleft(key)
-            else:
-                # Ambiguous: several shards were in flight when the pool
-                # broke.  Replay them one at a time; none takes a strike
-                # until it crashes alone.
-                notify(self.observers, SupervisorEvent(
-                    action="crash",
-                    detail=(f"worker process died with {len(victims)} "
-                            "shard(s) in flight; isolating"),
-                ))
-                for flight in victims:
-                    suspects.append((flight.chain_index, flight.index))
-            respawn("worker crash")
-
-        def sweep_deadlines() -> None:
-            if self.shard_timeout_s is None:
-                return
-            now = time.monotonic()
-            hung = [
-                future for future, flight in inflight.items()
-                if not future.done() and flight.started_at is not None
-                and now - flight.started_at > self.shard_timeout_s
-            ]
-            if not hung:
-                return
-            hung_flights = [inflight[future] for future in hung]
-            for future in hung:
-                del inflight[future]
-            victims = harvest_or_condemn()
-            for flight in hung_flights:
-                key = (flight.chain_index, flight.index)
-                strikes[key] = strikes.get(key, 0) + 1
-                wall = now - (flight.started_at or flight.submitted_at)
-                notify(self.observers, SupervisorEvent(
-                    action="hang-kill", task=flight.scenario_id,
-                    detail=(f"no result after {wall:.1f}s "
-                            f"(deadline {self.shard_timeout_s:g}s, "
-                            f"strike {strikes[key]})"),
-                    wall_s=wall,
-                ))
-                if strikes[key] > self.shard_retries:
-                    give_up(flight, (
-                        f"WorkerHangError: no result within the "
-                        f"{self.shard_timeout_s:g}s hard deadline after "
-                        f"{strikes[key]} attempt(s)"
-                    ))
-                else:
-                    # Retry resumes from the shard checkpoint, so only
-                    # the in-flight generation is re-run.
-                    queue.appendleft(key)
-            requeued = []
-            for flight in victims:
-                notify(self.observers, SupervisorEvent(
-                    action="requeue", task=flight.scenario_id,
-                    detail="innocent shard killed with the pool",
-                ))
-                requeued.append((flight.chain_index, flight.index))
-            queue.extendleft(reversed(requeued))
-            respawn("shard hang")
-
-        def begin_drain(reason: str) -> None:
+            stop_reason = reason
             self._stopping = True
             queue.clear()
-            suspects.clear()
-            notify(self.observers, SupervisorEvent(
-                action="shutdown",
-                detail=f"{reason}: draining {len(inflight)} shard(s)",
-            ))
+            detail = f"{reason}: draining {len(positions)} shard(s)"
+            notify(self.observers, SupervisorEvent(action="shutdown", detail=detail))
             # Ask running shards to stop at their next generation
             # boundary.  Idle workers die on SIGTERM and break the pool;
-            # that is tolerated below — every shard checkpoints per
-            # generation, so at most the in-flight generation is lost.
-            for process in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    os.kill(process.pid, signal.SIGTERM)
-                except (OSError, TypeError):
-                    pass
+            # the supervisor then reports the shards still in flight as
+            # interrupted — every shard checkpoints per generation, so at
+            # most the in-flight generation is lost.
+            executor.drain(signal.SIGTERM)
 
         try:
-            while queue or suspects or inflight:
-                if not self._stopping:
-                    reason = self._check_stop()
-                    if reason:
-                        stop_reason = reason
-                        begin_drain(reason)
-                fill()
-                if not inflight:
-                    continue
-                now = time.monotonic()
-                for future, flight in inflight.items():
-                    if flight.started_at is None and future.running():
-                        flight.started_at = now
-                poll = (
-                    _POLL_S
-                    if (self.shard_timeout_s is not None
-                        or self.stop_check is not None
-                        or self._stopping)
-                    else None
-                )
-                done, _ = wait(set(inflight), timeout=poll,
-                               return_when=FIRST_COMPLETED)
-                crashed = False
-                for future in done:
-                    flight = inflight.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        inflight[future] = flight
-                        crashed = True
-                    else:
-                        finish(flight, result)
-                if crashed:
-                    if self._stopping:
-                        # Expected during the drain (idle workers died on
-                        # SIGTERM); the interrupted shards resume from
-                        # their checkpoints on the next fleet run.
-                        for flight in inflight.values():
-                            notify(self.observers, ShardEvent(
-                                scenario=flight.scenario_id,
-                                status="interrupted",
-                            ))
-                        inflight.clear()
-                        break
-                    handle_crash()
-                    continue
-                sweep_deadlines()
-            if stop_reason is not None:
-                raise CampaignInterrupted(stop_reason)
-        except KeyboardInterrupt:
-            for future in inflight:
-                future.cancel()
-            kill_pool_processes(pool)
-            raise
+            executor.stream(
+                self.task_fn,
+                next_task,
+                on_result,
+                on_poll=None if self.stop_check is None else drain_on_stop,
+            )
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            executor.close()
+        if stop_reason is not None:
+            raise CampaignInterrupted(stop_reason)
 
     # ------------------------------------------------------------------
     # Report

@@ -1,9 +1,10 @@
-"""Process supervision: hard watchdogs, crash recovery, graceful shutdown.
+"""Process supervision: hard deadlines, crash recovery, graceful shutdown.
 
-The cooperative fault layer in :mod:`repro.core.faults` handles errors a
-worker can *report*; this package handles the failures it cannot — hung
-evaluations (:class:`SupervisedExecutor` hard deadlines), dead worker
-processes (pool respawn + crash isolation), operator interruption
+The fault layer in :mod:`repro.core.faults` handles errors a worker can
+*report*; this package handles the failures it cannot — hung evaluations
+and shards (:class:`SupervisedExecutor` hard deadlines, the only deadline
+in the repo), dead worker processes (pool respawn + crash isolation),
+operator interruption
 (:class:`ShutdownCoordinator` → final checkpoint + distinct exit code),
 and damaged checkpoints (verified salvage in
 :mod:`repro.core.checkpoint`, exercised by :mod:`repro.supervision.chaos`).

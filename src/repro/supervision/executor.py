@@ -1,25 +1,24 @@
 """Supervised process-pool execution: hard deadlines, crash recovery.
 
-The :class:`~repro.core.engine.ParallelExecutor` trusts its workers: the
-cooperative watchdog in :mod:`repro.core.faults` only measures an attempt's
-wall time *after it returns*, so a genuinely hung evaluation stalls a
-campaign forever, and a worker that dies (segfault, ``os._exit``, OOM kill)
-surfaces as :class:`~concurrent.futures.process.BrokenProcessPool` and
-aborts the whole run.  :class:`SupervisedExecutor` closes both gaps at the
-process level:
+Every process pool in the repo runs on :class:`SupervisedExecutor` — the
+evaluation engine's ``--workers`` pool and the fleet orchestrator's shard
+pool alike.  A worker can fail in two ways it cannot report itself: it
+hangs, or it dies (segfault, ``os._exit``, OOM kill), which surfaces as
+:class:`~concurrent.futures.process.BrokenProcessPool`.  The supervisor
+handles both at the process level:
 
 hard deadlines
-    Each task's wall time is tracked from submission.  Submission is
-    throttled to the pool width, so a submitted task is (to within one
-    scheduling quantum) a *running* task and the deadline measures real
-    execution time.  A task that outlives ``task_timeout_s`` has its pool
-    killed (``SIGKILL`` to every worker — a hung worker ignores polite
-    requests), the pool is respawned, innocent in-flight tasks are
+    A task's wall time counts from the first moment its future is
+    observed ``running()``, so a task queued behind a busy worker is never
+    charged for the wait.  A task that outlives ``task_timeout_s`` has its
+    pool killed (``SIGKILL`` to every worker — a hung worker ignores
+    polite requests), the pool is respawned, innocent in-flight tasks are
     requeued, and the hung task resolves to a :class:`SupervisorFault`
     sentinel instead of a result.  Hung tasks are *not* retried by the
     supervisor: each retry would burn another full deadline of wall
-    clock.  The engine folds the sentinel into the existing
-    :class:`~repro.core.faults.FaultPolicy` quarantine taxonomy.
+    clock.  The caller decides — the engine folds the sentinel into the
+    :class:`~repro.core.faults.FaultPolicy` quarantine taxonomy, the fleet
+    resubmits the shard while it has retries left.
 
 crash recovery
     ``BrokenProcessPool`` condemns every in-flight future, so the culprit
@@ -33,13 +32,18 @@ crash recovery
     ``max_pool_rebuilds`` budget so a pathological batch cannot respawn
     forever; exhausting it raises :class:`SupervisionExhaustedError`.
 
-Everything the supervisor does is narrated through
+:meth:`SupervisedExecutor.stream` is the one event loop: tasks are pulled
+from the caller as worker slots free up and each result is handed back as
+it lands.  :meth:`~SupervisedExecutor.map` is a thin ordered wrapper over
+it.  Everything the supervisor does is narrated through
 :class:`~repro.core.telemetry.SupervisorEvent` so operators can see hangs,
 crashes, respawns, and requeues in the run summary.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -60,10 +64,13 @@ __all__ = [
     "kill_pool_processes",
 ]
 
-#: Default total pool-rebuild budget per ``map`` call.  Generous enough for
-#: a handful of poison genomes per generation, small enough that a
+#: Default total pool-rebuild budget per executor.  Generous enough for a
+#: handful of poison genomes per generation, small enough that a
 #: systemically broken platform fails fast instead of thrashing.
 DEFAULT_MAX_POOL_REBUILDS = 5
+
+#: Wake-up cadence (seconds) for deadline sweeps and ``on_poll`` hooks.
+POLL_S = 0.1
 
 
 class SupervisionExhaustedError(ReproError):
@@ -80,8 +87,7 @@ class WorkerHangError(QuarantineExhaustedError):
 
     Subclasses :class:`~repro.core.faults.QuarantineExhaustedError` so a
     hang surfaced with ``on_exhaust="raise"`` (or with no fault policy at
-    all) classifies as a fault-budget failure (exit code 3), matching the
-    cooperative-timeout taxonomy.
+    all) classifies as a fault-budget failure (exit code 3).
     """
 
 
@@ -94,14 +100,15 @@ class SupervisorFault:
     """Sentinel result for a task the supervisor gave up on.
 
     Takes the slot an :class:`~repro.core.faults.EvalOutcome` (or plain
-    fitness value) would occupy in the executor's result list.  The
-    evaluation engine converts it into the fault-policy taxonomy —
-    quarantine, penalty, or a raised :class:`WorkerHangError` /
+    fitness value) would occupy in the executor's results.  The evaluation
+    engine converts it into the fault-policy taxonomy — quarantine,
+    penalty, or a raised :class:`WorkerHangError` /
     :class:`WorkerCrashError`.
 
-    ``kind`` is ``"hang"`` or ``"crash"``; ``attempts`` counts executions
-    (1 for a hang, 1 + retries for a crash); ``wall_s`` is the wall time
-    burned across all attempts.
+    ``kind`` is ``"hang"``, ``"crash"``, or ``"interrupted"`` (the task
+    was in flight when a :meth:`~SupervisedExecutor.drain` broke its
+    pool); ``attempts`` counts executions (1 for a hang, 1 + retries for a
+    crash); ``wall_s`` is the wall time burned across all attempts.
     """
 
     kind: str
@@ -110,20 +117,29 @@ class SupervisorFault:
     wall_s: float = 0.0
 
 
+#: What a task left unfinished by a :meth:`SupervisedExecutor.drain` gets.
+_INTERRUPTED = SupervisorFault(
+    kind="interrupted", error="in flight when a drain stopped the worker pool"
+)
+
+
+def _signal_workers(pool: ProcessPoolExecutor | None, signum: int) -> None:
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            os.kill(process.pid, signum)
+        except (OSError, TypeError):  # pragma: no cover - already reaped
+            pass
+
+
 def kill_pool_processes(pool: ProcessPoolExecutor | None) -> None:
     """Hard-kill a pool's workers and abandon it.
 
     ``shutdown(wait=True)`` on a pool with a hung worker never returns, so
     the only reliable teardown is SIGKILL to each worker process first.
-    Also used by the fleet orchestrator on hung/crashed shards.
     """
     if pool is None:
         return
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.kill()
-        except OSError:  # pragma: no cover - already-reaped worker
-            pass
+    _signal_workers(pool, signal.SIGKILL)
     pool.shutdown(wait=False, cancel_futures=True)
 
 
@@ -131,23 +147,28 @@ def kill_pool_processes(pool: ProcessPoolExecutor | None) -> None:
 class _Flight:
     """Book-keeping for one submitted task."""
 
-    index: int
-    submitted_at: float
+    key: str
+    item: object
+    submitted_at: float = 0.0
+    started_at: float | None = None
+    """First moment the future was observed ``running()``; the hard
+    deadline counts from here."""
 
 
 class SupervisedExecutor:
     """Process-pool executor with hard deadlines and crash recovery.
 
-    Drop-in :class:`~repro.core.engine.FitnessExecutor`: ``map`` preserves
+    A :class:`~repro.core.engine.FitnessExecutor`: ``map`` preserves
     request order and propagates ordinary exceptions raised *by the task
-    function* exactly like ``ParallelExecutor`` — supervision only
-    intervenes when the worker process itself misbehaves (hang past
-    ``task_timeout_s``, death under a task).  Those slots resolve to
-    :class:`SupervisorFault` sentinels for the caller to adjudicate.
+    function* unwrapped — supervision only intervenes when the worker
+    process itself misbehaves (hang past ``task_timeout_s``, death under a
+    task).  Those slots resolve to :class:`SupervisorFault` sentinels for
+    the caller to adjudicate.
 
     With ``task_timeout_s=None`` the deadline sweep is disabled and only
-    crash recovery is active; the executor then adds no polling overhead
-    (the event loop blocks until a future completes).
+    crash recovery is active; without an ``on_poll`` hook the executor
+    then adds no polling overhead (the event loop blocks until a future
+    completes).
     """
 
     name = "supervised"
@@ -160,7 +181,7 @@ class SupervisedExecutor:
         max_pool_rebuilds: int = DEFAULT_MAX_POOL_REBUILDS,
         crash_retries: int = 1,
         observers: Sequence[RunObserver] = (),
-        poll_s: float = 0.1,
+        poll_s: float = POLL_S,
     ):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -180,6 +201,7 @@ class SupervisedExecutor:
         self.poll_s = poll_s
         self.rebuilds = 0
         self._pool: ProcessPoolExecutor | None = None
+        self._draining = False
 
     # -- pool lifecycle ----------------------------------------------------
 
@@ -206,127 +228,170 @@ class SupervisedExecutor:
                 f"unstable — last cause: {reason}"
             )
 
-    def _abort(self) -> None:
-        """Tear down after a task-level exception (mirrors ParallelExecutor)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+    def drain(self, signum: int) -> None:
+        """Submit nothing more and send *signum* to every worker.
+
+        Tasks in flight still deliver their results.  If the signal breaks
+        the pool (an idle worker dies of it), the tasks still in flight
+        and any awaiting replay resolve to ``SupervisorFault(kind=
+        "interrupted")`` and the stream ends without a respawn.
+        """
+        self._draining = True
+        _signal_workers(self._pool, signum)
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
+    def __enter__(self) -> "SupervisedExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # -- the supervised event loop ----------------------------------------
 
     def map(self, fn: Callable, items: Iterable) -> list:
-        items = list(items)
-        if not items:
-            return []
+        tasks = [(f"task[{index}]", item) for index, item in enumerate(items)]
+        pending = iter(tasks)
+        results: dict = {}
+        self.stream(fn, lambda: next(pending, None), results.__setitem__)
+        return [results[key] for key, _ in tasks]
 
-        unset = object()
-        results: list = [unset] * len(items)
-        # Normal work queue, FIFO over item indexes.
-        queue: deque[int] = deque(range(len(items)))
+    def stream(
+        self,
+        fn: Callable,
+        next_task: Callable[[], tuple[str, object] | None],
+        on_result: Callable[[str, object], None],
+        *,
+        on_poll: Callable[[], None] | None = None,
+    ) -> None:
+        """Run ``fn`` over tasks pulled as worker slots free up.
+
+        ``next_task()`` returns a ``(key, item)`` pair, or ``None`` when
+        nothing is ready to submit; the stream ends once it returns
+        ``None`` with nothing in flight.  ``key`` is a unique string that
+        names the task in supervisor events.  Each result — or a
+        :class:`SupervisorFault` — is handed to ``on_result(key, result)``
+        as it lands, so the callback may make further tasks ready.
+        ``on_poll()``, when given, runs at every wake-up (at least every
+        ``poll_s``) and may call :meth:`drain`.
+
+        An exception raised by ``fn`` in a worker, or by either callback,
+        kills the pool's workers and propagates unchanged.
+        """
+        inflight: dict[Future, _Flight] = {}
+        # Innocents of a hang-kill, resubmitted ahead of new work.
+        requeued: deque[_Flight] = deque()
         # Isolation queue: tasks condemned by a pool crash, replayed one
         # at a time so a repeat crash identifies its culprit.
-        suspects: deque[int] = deque()
-        strikes: dict[int, int] = {}
-        wall_spent: dict[int, float] = {}
-        inflight: dict[Future, _Flight] = {}
+        suspects: deque[_Flight] = deque()
+        strikes: dict[str, int] = {}
+        wall_spent: dict[str, float] = {}
 
-        def submit_next() -> None:
+        def submit(flight: _Flight) -> None:
+            future = self._ensure_pool().submit(fn, flight.item)
+            flight.submitted_at = time.monotonic()
+            flight.started_at = None
+            inflight[future] = flight
+
+        def fill() -> None:
+            if self._draining:
+                for flight in (*requeued, *suspects):
+                    on_result(flight.key, _INTERRUPTED)
+                requeued.clear()
+                suspects.clear()
+                return
             if suspects:
                 # Isolation mode: drain in-flight work first, then replay
                 # suspects strictly one at a time.
                 if not inflight:
-                    index = suspects.popleft()
-                    future = self._ensure_pool().submit(fn, items[index])
-                    inflight[future] = _Flight(index, time.monotonic())
+                    submit(suspects.popleft())
                 return
-            while queue and len(inflight) < self.workers:
-                index = queue.popleft()
-                future = self._ensure_pool().submit(fn, items[index])
-                inflight[future] = _Flight(index, time.monotonic())
-
-        def condemn() -> list[_Flight]:
-            """Collect every in-flight task; harvest finished results."""
-            condemned: list[_Flight] = []
-            for future, flight in inflight.items():
-                if future.done():
-                    try:
-                        results[flight.index] = future.result()
-                        continue
-                    except BaseException:
-                        # Died with the pool (or raised); adjudicate below.
-                        pass
-                condemned.append(flight)
-            inflight.clear()
-            return condemned
-
-        try:
-            while queue or suspects or inflight:
-                submit_next()
-                timeout = None
-                if self.task_timeout_s is not None:
-                    timeout = self.poll_s
-                done, _ = wait(
-                    set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-
-                crashed = False
-                for future in done:
-                    flight = inflight.pop(future)
-                    try:
-                        results[flight.index] = future.result()
-                    except BrokenProcessPool:
-                        # Put the flight back so condemn() sees it along
-                        # with every other in-flight victim.
-                        inflight[future] = flight
-                        crashed = True
-                        break
-                    except Exception:
-                        self._abort()
-                        raise
-
-                if crashed:
-                    self._handle_crash(
-                        condemn(), suspects, strikes, wall_spent, results
-                    )
+            while len(inflight) < self.workers:
+                if requeued:
+                    submit(requeued.popleft())
                     continue
+                task = next_task()
+                if task is None:
+                    return
+                submit(_Flight(*task))
 
-                if self.task_timeout_s is not None:
+        polling = self.task_timeout_s is not None or on_poll is not None
+        try:
+            while True:
+                if on_poll is not None:
+                    on_poll()
+                fill()
+                if not inflight:
+                    return
+                now = time.monotonic()
+                for future, flight in inflight.items():
+                    if flight.started_at is None and future.running():
+                        flight.started_at = now
+                done, _ = wait(
+                    set(inflight),
+                    timeout=self.poll_s if polling else None,
+                    return_when=FIRST_COMPLETED,
+                )
+                broken = False
+                for future in done:
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        continue
+                    on_result(inflight.pop(future).key, result)
+                if broken:
+                    self._handle_crash(
+                        self._condemn(inflight, on_result),
+                        suspects, strikes, wall_spent, on_result,
+                    )
+                elif self.task_timeout_s is not None:
                     self._sweep_deadlines(
-                        inflight, queue, suspects, wall_spent, results
+                        inflight, requeued, suspects, wall_spent, on_result
                     )
         except BaseException:
             kill_pool_processes(self._pool)
             self._pool = None
             raise
 
-        assert not any(r is unset for r in results)
-        return results
+    @staticmethod
+    def _condemn(inflight: dict, on_result) -> list[_Flight]:
+        """Empty *inflight*: deliver finished results, return the rest."""
+        condemned: list[_Flight] = []
+        for future, flight in inflight.items():
+            if future.done() and future.exception() is None:
+                on_result(flight.key, future.result())
+            else:
+                condemned.append(flight)
+        inflight.clear()
+        return condemned
 
     # -- hang handling -----------------------------------------------------
 
-    def _sweep_deadlines(self, inflight, queue, suspects, wall_spent, results):
+    def _sweep_deadlines(self, inflight, requeued, suspects, wall_spent,
+                         on_result):
         now = time.monotonic()
         hung = [
-            (future, flight)
+            future
             for future, flight in inflight.items()
-            if now - flight.submitted_at > self.task_timeout_s
-            and not future.done()
+            if not future.done()
+            and flight.started_at is not None
+            and now - flight.started_at > self.task_timeout_s
         ]
         if not hung:
             return
-        hung_indexes = {flight.index for _, flight in hung}
-        for _, flight in hung:
-            wall = now - flight.submitted_at
+        hung_flights = [inflight.pop(future) for future in hung]
+        innocents = self._condemn(inflight, on_result)
+        for flight in hung_flights:
+            wall = now - flight.started_at
             notify(
                 self.observers,
                 SupervisorEvent(
                     action="hang-kill",
-                    task=f"task[{flight.index}]",
+                    task=flight.key,
                     detail=(
                         f"no result after {wall:.1f}s "
                         f"(deadline {self.task_timeout_s:.1f}s); "
@@ -335,39 +400,31 @@ class SupervisedExecutor:
                     wall_s=wall,
                 ),
             )
-            results[flight.index] = SupervisorFault(
+            on_result(flight.key, SupervisorFault(
                 kind="hang",
                 error=(
-                    f"evaluation hung: no result after {wall:.1f}s "
+                    f"task hung: no result after {wall:.1f}s "
                     f"(hard deadline {self.task_timeout_s:.1f}s); "
                     f"worker killed"
                 ),
                 attempts=1,
-                wall_s=wall + wall_spent.get(flight.index, 0.0),
-            )
-        # Innocent in-flight tasks go back to the *front* of their queue —
-        # they were already scheduled, so they keep their place in line.
-        innocents = [
-            flight for _, flight in inflight.items()
-            if flight.index not in hung_indexes
-        ]
+                wall_s=wall + wall_spent.get(flight.key, 0.0),
+            ))
+        # Innocent in-flight tasks go back to the *front* of the line —
+        # they were already scheduled, so they keep their place.
         for flight in innocents:
-            wall_spent[flight.index] = (
-                wall_spent.get(flight.index, 0.0) + (now - flight.submitted_at)
+            wall_spent[flight.key] = (
+                wall_spent.get(flight.key, 0.0) + (now - flight.submitted_at)
             )
             notify(
                 self.observers,
                 SupervisorEvent(
                     action="requeue",
-                    task=f"task[{flight.index}]",
+                    task=flight.key,
                     detail="in flight during a hang-kill; rescheduled",
                 ),
             )
-        target = suspects if suspects else queue
-        target.extendleft(
-            flight.index for flight in reversed(innocents)
-        )
-        inflight.clear()
+        (suspects if suspects else requeued).extendleft(reversed(innocents))
         self._kill_and_respawn(
             reason=f"{len(hung)} task(s) past the {self.task_timeout_s:.1f}s "
             f"hard deadline"
@@ -375,65 +432,71 @@ class SupervisedExecutor:
 
     # -- crash handling ----------------------------------------------------
 
-    def _handle_crash(self, condemned, suspects, strikes, wall_spent, results):
+    def _handle_crash(self, condemned, suspects, strikes, wall_spent,
+                      on_result):
+        if self._draining:
+            # The drain's signal took the pool down: nothing is replayed.
+            kill_pool_processes(self._pool)
+            self._pool = None
+            for flight in condemned:
+                on_result(flight.key, _INTERRUPTED)
+            return
         now = time.monotonic()
         notify(
             self.observers,
             SupervisorEvent(
                 action="crash",
+                task=condemned[0].key if len(condemned) == 1 else "",
                 detail=(
                     f"worker process died; {len(condemned)} in-flight "
                     f"task(s) condemned"
                 ),
             ),
         )
+        for flight in condemned:
+            wall_spent[flight.key] = (
+                wall_spent.get(flight.key, 0.0) + (now - flight.submitted_at)
+            )
         if len(condemned) == 1:
             # Running alone (isolation mode, or a one-task tail): the
             # culprit is identified beyond doubt.
             flight = condemned[0]
-            index = flight.index
-            strikes[index] = strikes.get(index, 0) + 1
-            wall_spent[index] = (
-                wall_spent.get(index, 0.0) + (now - flight.submitted_at)
-            )
-            if strikes[index] > self.crash_retries:
+            key = flight.key
+            strikes[key] = strikes.get(key, 0) + 1
+            if strikes[key] > self.crash_retries:
                 notify(
                     self.observers,
                     SupervisorEvent(
                         action="give-up",
-                        task=f"task[{index}]",
+                        task=key,
                         detail=(
-                            f"crashed the worker {strikes[index]} time(s); "
-                            f"handing to the fault policy"
+                            f"crashed the worker {strikes[key]} time(s); "
+                            f"handing to the caller"
                         ),
                     ),
                 )
-                results[index] = SupervisorFault(
+                on_result(key, SupervisorFault(
                     kind="crash",
                     error=(
-                        f"worker process died under this evaluation "
-                        f"{strikes[index]} time(s) (segfault/os._exit?)"
+                        f"worker process died under this task "
+                        f"{strikes[key]} time(s) (segfault/os._exit?)"
                     ),
-                    attempts=strikes[index],
-                    wall_s=wall_spent[index],
-                )
+                    attempts=strikes[key],
+                    wall_s=wall_spent[key],
+                ))
             else:
-                suspects.appendleft(index)
+                suspects.appendleft(flight)
         else:
             # The culprit is unidentifiable: isolate everyone.  No strikes
             # for the innocent — they are simply replayed one at a time.
             for flight in condemned:
-                wall_spent[flight.index] = (
-                    wall_spent.get(flight.index, 0.0)
-                    + (now - flight.submitted_at)
-                )
                 notify(
                     self.observers,
                     SupervisorEvent(
                         action="requeue",
-                        task=f"task[{flight.index}]",
+                        task=flight.key,
                         detail="condemned by a worker crash; isolating",
                     ),
                 )
-            suspects.extend(flight.index for flight in condemned)
+            suspects.extend(condemned)
         self._kill_and_respawn(reason="worker process crash")

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.engine import (
     EvaluationEngine,
-    ParallelExecutor,
     SerialExecutor,
     StressmarkFitness,
     make_executor,
@@ -125,7 +124,7 @@ class TestEvaluationEngine:
         platform = tiny_platform()
         with pytest.raises(ConfigurationError):
             EvaluationEngine.for_stressmarks(
-                platform, space, threads=4, executor=ParallelExecutor(2)
+                platform, space, threads=4, executor=SupervisedExecutor(2)
             )
 
     def test_make_executor(self):
@@ -143,18 +142,43 @@ class TestEvaluationEngine:
         assert deadlined.max_pool_rebuilds == 7
         deadlined.close()
 
+    def test_hard_timeout_always_runs_supervised(self):
+        """A deadline can only be enforced on a process that can be
+        killed, so it selects the supervised pool even with one worker."""
+        for workers in (None, 1):
+            pool = make_executor(workers, hard_timeout_s=30.0)
+            assert isinstance(pool, SupervisedExecutor)
+            assert pool.workers == 1
+            assert pool.task_timeout_s == 30.0
+            pool.close()
+
+    def test_one_worker_deadline_still_needs_platform_factory(self):
+        pool = make_executor(None, hard_timeout_s=30.0)
+        with pytest.raises(ConfigurationError):
+            EvaluationEngine.for_stressmarks(
+                tiny_platform(), small_space(), threads=4, executor=pool
+            )
+
+    def test_one_worker_deadline_evaluates_out_of_process(self):
+        genomes = self.genomes(3)
+        with make_executor(1, hard_timeout_s=30.0) as pool:
+            values = EvaluationEngine(counting_fitness, executor=pool).evaluate_many(genomes)
+        assert values == [counting_fitness(g) for g in genomes]
+
 
 class TestParallelExecutor:
+    """The process pool behind ``--workers``: the supervised executor."""
+
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ConfigurationError):
-            ParallelExecutor(0)
+            SupervisedExecutor(0)
 
     def test_parallel_and_serial_agree(self):
         space = small_space()
         rng = np.random.default_rng(7)
         genomes = [space.random_genome(rng) for _ in range(8)]
         serial = EvaluationEngine(counting_fitness).evaluate_many(genomes)
-        with ParallelExecutor(2) as pool:
+        with SupervisedExecutor(2) as pool:
             parallel = EvaluationEngine(
                 counting_fitness, executor=pool
             ).evaluate_many(genomes)
@@ -171,7 +195,7 @@ class TestParallelExecutor:
         serial_values = serial_engine.evaluate_many(genomes)
         serial_wall = time.perf_counter() - start
 
-        with ParallelExecutor(4) as pool:
+        with SupervisedExecutor(4) as pool:
             pool.map(counting_fitness, genomes[:1])  # warm the pool up front
             parallel_engine = EvaluationEngine(sleepy_fitness, executor=pool)
             start = time.perf_counter()
@@ -192,7 +216,7 @@ class TestParallelExecutor:
         space = small_space()
         rng = np.random.default_rng(5)
         genomes = [space.random_genome(rng) for _ in range(4)]
-        pool = ParallelExecutor(2)
+        pool = SupervisedExecutor(2)
         try:
             with pytest.raises(ValueError):
                 pool.map(exploding_fitness, genomes)
@@ -246,7 +270,7 @@ class TestWorkerStatsMerge:
         platform = tiny_platform()
         rng = np.random.default_rng(9)
         genomes = [space.random_genome(rng) for _ in range(4)]
-        with ParallelExecutor(2) as pool:
+        with SupervisedExecutor(2) as pool:
             engine = EvaluationEngine.for_stressmarks(
                 platform, space, threads=4, executor=pool,
                 platform_factory=tiny_platform,

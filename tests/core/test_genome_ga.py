@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.codegen import genome_to_kernel, genome_to_program
-from repro.core.engine import EvaluationEngine, ParallelExecutor
+from repro.core.engine import EvaluationEngine
 from repro.core.ga import GaConfig, GeneticAlgorithm
 from repro.core.genome import GenomeSpace, StressmarkGenome
 from repro.errors import SearchError
 from repro.isa.opcodes import default_table
+from repro.supervision import SupervisedExecutor
 
 TABLE = default_table()
 
@@ -178,7 +179,7 @@ class TestGeneticAlgorithm:
 
     def test_serial_and_parallel_backends_agree(self):
         serial = self.make_ga(EvaluationEngine(toy_fitness), seed=3).run()
-        with ParallelExecutor(2) as pool:
+        with SupervisedExecutor(2) as pool:
             engine = EvaluationEngine(toy_fitness, executor=pool)
             parallel = self.make_ga(engine, seed=3).run()
         assert parallel.best_genome == serial.best_genome

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core.faults import FaultPolicy
+from repro.core.faults import FaultInjectingBackend, FaultInjectionConfig, FaultPolicy
+from repro.core.platform import MeasurementPlatform
 from repro.errors import (
     EXIT_CRASH,
     EXIT_FAILURE,
     EXIT_FAULTS,
     EXIT_OK,
+    CheckpointError,
 )
 from repro.fleet import FleetOrchestrator, ScenarioMatrix
 from repro.fleet.report import REPORT_FILE, REPORT_MD_FILE
@@ -30,6 +32,22 @@ def run_fleet(fleet_dir, *, workers=1, stop_after=None, matrix=MATRIX):
         matrix, fleet_dir, workers=workers, stop_after=stop_after,
     )
     return orchestrator.run()
+
+
+@pytest.fixture
+def always_faulting(monkeypatch):
+    """Every measurement of an in-process shard raises an injected fault,
+    so a fault policy without retries exhausts at the first one."""
+    import repro.fleet.shard as shard_mod
+
+    real_platform = shard_mod.scenario_platform
+
+    def faulting_platform(scenario):
+        config = FaultInjectionConfig(exception_rate=1.0)
+        backend = FaultInjectingBackend(real_platform(scenario).backend, config=config)
+        return MeasurementPlatform(backend=backend)
+
+    monkeypatch.setattr(shard_mod, "scenario_platform", faulting_platform)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +101,27 @@ class TestResumeBitIdentity:
         finally:
             shutil.rmtree(fleet_dir, ignore_errors=True)
 
+    @staticmethod
+    def write_older_meta(fleet_dir, eval_timeout_s):
+        """fleet.json as written before the cooperative timeout was
+        removed: the fault policy still carries ``eval_timeout_s``."""
+        fleet_dir.mkdir()
+        FleetOrchestrator(MATRIX, fleet_dir, fault_policy=FaultPolicy()).write_meta()
+        path = fleet_dir / "fleet.json"
+        meta = json.loads(path.read_text())
+        meta["fault_policy"]["eval_timeout_s"] = eval_timeout_s
+        path.write_text(json.dumps(meta))
+
+    def test_resume_drops_an_unset_removed_policy_field(self, tmp_path):
+        self.write_older_meta(tmp_path / "fleet", None)
+        resumed = FleetOrchestrator.resume(tmp_path / "fleet")
+        assert resumed.fault_policy == FaultPolicy()
+
+    def test_resume_refuses_a_set_removed_policy_field(self, tmp_path):
+        self.write_older_meta(tmp_path / "fleet", 30.0)
+        with pytest.raises(CheckpointError, match="eval_timeout_s"):
+            FleetOrchestrator.resume(tmp_path / "fleet")
+
     def test_resume_of_complete_fleet_is_a_no_op_rerun(self, control,
                                                        tmp_path):
         fleet_dir = tmp_path / "fleet"
@@ -93,12 +132,12 @@ class TestResumeBitIdentity:
 
 
 class TestExitTaxonomy:
-    def test_fault_exhaustion_maps_to_exit_3(self, tmp_path):
+    def test_fault_exhaustion_maps_to_exit_3(self, tmp_path, always_faulting):
         matrix = ScenarioMatrix(chip=("bulldozer",), threads=(1,),
                                 budget=("4x2",), seed=(1,))
         orchestrator = FleetOrchestrator(
             matrix, tmp_path / "fleet", workers=1,
-            fault_policy=FaultPolicy(max_retries=0, eval_timeout_s=1e-9),
+            fault_policy=FaultPolicy(max_retries=0),
         )
         report = orchestrator.run()
         assert report.exit_code == EXIT_FAULTS
@@ -169,12 +208,12 @@ class TestFleetCli:
         assert code == 2
         assert "needs a scenario matrix" in capsys.readouterr().err
 
-    def test_fault_exhausted_fleet_exits_3(self, tmp_path, capsys):
+    def test_fault_exhausted_fleet_exits_3(self, tmp_path, capsys, always_faulting):
         code = main([
             "fleet", "run", "--matrix", "chip=bulldozer",
             "--matrix", "threads=1", "--matrix", "budget=4x2",
             "--matrix", "seed=1", "--dir", str(tmp_path / "fleet"),
-            "--workers", "1", "--eval-timeout", "1e-9", "--eval-retries", "0",
+            "--workers", "1", "--eval-retries", "0",
         ])
         assert code == EXIT_FAULTS
 

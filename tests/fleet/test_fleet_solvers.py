@@ -9,8 +9,8 @@ import os
 
 from repro import registry
 from repro.cli import main
-from repro.fleet import orchestrator
 from repro.pdn import transient
+from repro.supervision import executor
 
 MATRIX = ["--matrix", "pdn=nominal,+10%", "--matrix", "threads=1",
           "--matrix", "budget=4x2", "--matrix", "seed=1"]
@@ -29,13 +29,14 @@ def test_networks_are_discretised_once_before_the_pool_forks(tmp_path, monkeypat
         note("build")
         init(self, network, dt)
 
-    class MarkedPool(orchestrator.ProcessPoolExecutor):
+    class MarkedPool(executor.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             note("pool")
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(transient.TransientSolver, "__init__", counting_init)
-    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", MarkedPool)
+    # The fleet's pool is the supervisor's.
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", MarkedPool)
     monkeypatch.setattr(transient, "_SOLVERS", {})
     fleet_dir = tmp_path / "fleet"
     assert main(["fleet", "run", *MATRIX, "--workers", "2", "--dir", str(fleet_dir),

@@ -95,6 +95,16 @@ class TestHangSupervision:
         assert isinstance(results[0], SupervisorFault)
         assert results[1:] == [i * 2 for i in range(6)]
 
+    def test_task_error_does_not_wait_for_a_hung_sibling(self):
+        """A task exception tears the pool down by killing its workers;
+        waiting for them would block on the hung one forever."""
+        pool = executor(task_timeout_s=1.0)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="boom"):
+            pool.map(dispatch, [("sleep", 60.0), ("raise", 0)])
+        assert time.monotonic() - start < 1.0 + 2.0
+        assert pool._pool is None
+
 
 class TestCrashSupervision:
     def test_crasher_isolated_and_sentineled(self):

@@ -100,7 +100,7 @@ class TestCampaignFlags:
     def test_fault_flag_defaults(self):
         args = build_parser().parse_args(["audit"])
         assert args.eval_retries is None
-        assert args.eval_timeout is None
+        assert not hasattr(args, "eval_timeout")
         assert args.on_fault is None
         assert args.eval_backoff == 0.0
 

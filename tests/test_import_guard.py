@@ -1,8 +1,11 @@
-"""``scipy.signal`` loads when a platform is built, not when ``repro`` starts.
+"""Import hygiene: what a launch loads, and what can be imported first.
 
-Launches that never solve a PDN (``--version``, registry listings, fleet
-status, a fleet resume served from its bank) must not pay the import;
-every process that will solve pays it while building its platform.
+``scipy.signal`` loads when a platform is built, not when ``repro``
+starts.  Launches that never solve a PDN (``--version``, registry
+listings, fleet status, a fleet resume served from its bank) must not pay
+the import; every process that will solve pays it while building its
+platform.  Every ``repro.supervision`` module imports cleanly as the
+first module of a fresh interpreter.
 """
 
 import json
@@ -75,6 +78,19 @@ class TestLaunchesThatNeverSolve:
         registry = finished_fleet / "registry"
         record_id = json.loads((registry / "index.jsonl").read_text().splitlines()[0])["record_id"]
         assert loads_signal(LAUNCH, "registry", "verify", str(registry), record_id)
+
+
+@pytest.mark.parametrize("module", [
+    "repro.supervision",
+    "repro.supervision.chaos",
+    "repro.supervision.executor",
+    "repro.supervision.shutdown",
+])
+def test_supervision_imports_first_in_a_fresh_interpreter(module):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", f"import {module}"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
 
 
 def test_building_a_platform_discretises_its_network(monkeypatch):
