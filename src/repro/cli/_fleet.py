@@ -220,7 +220,7 @@ def register(sub) -> None:
         "--workers",
         type=int,
         default=None,
-        help="global worker budget: how many shards run concurrently (default: the spec's fleet.workers, else 2; 1 = in-process)",
+        help="global worker budget: how many shards run concurrently (default: the spec's fleet.workers, else 2; 1 = in-process unless --shard-timeout is set)",
     )
     run.add_argument(
         "--qualify",

@@ -257,8 +257,8 @@ class AuditRunner:
         continues from it — same seeds, same final stressmark as an
         uninterrupted run, because both the GA's RNG stream and the
         evaluator's memoised fitness values survive the restart.  (The
-        resonance sweep is deterministic and cheap relative to the GA, so
-        it is simply re-run.)
+        resonance sweep is deterministic, so it is simply re-run, though
+        it can take ~40% of a short campaign's wall time.)
 
         With ``qualify``, the GA winner is qualified under perturbations
         (see :class:`~repro.core.qualify.StressmarkQualifier`); an

@@ -60,10 +60,8 @@ from repro.fleet.shard import (
     ShardSpec,
     load_result,
     run_shard,
-    scenario_config,
 )
 from repro.obs.spans import current_tracer, span
-from repro.pdn.transient import shared_solver
 from repro.supervision.executor import (
     DEFAULT_MAX_POOL_REBUILDS,
     SupervisedExecutor,
@@ -385,7 +383,7 @@ class FleetOrchestrator:
         notify(self.observers, kickoff)
         try:
             if pending:
-                if self.workers == 1:
+                if self.workers == 1 and self.shard_timeout_s is None:
                     self._run_serial(chains, full_chains, results, start)
                 else:
                     self._run_pool(chains, full_chains, results, start)
@@ -470,11 +468,6 @@ class FleetOrchestrator:
         for chain_index, chain in enumerate(chains):
             if chain:
                 queue.append((chain_index, 0))
-                # Discretise before the pool forks: the workers inherit
-                # the solver (and ``scipy.signal``) as shared pages
-                # instead of each building its own.
-                chip, pdn = scenario_config(chain[0])
-                shared_solver(pdn, chip.cycle_time_s)
         positions: dict = {}  # in-flight scenario_id -> (chain_index, index)
         hang_strikes: dict = {}
         stop_reason: str | None = None

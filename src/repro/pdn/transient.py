@@ -20,18 +20,20 @@ Two solvers are provided:
 
 The network's response never depends on the supply voltage, which only
 sets the operating point each solve is given.  :func:`shared_solver`
-therefore discretises a network once per process and serves it to every
-supply and every pipeline measuring on it.
+therefore keeps one solver per network per process and serves it to
+every supply and every pipeline measuring on it.
 
-``scipy.signal`` (over a second to import) is imported inside the
-functions that use it, so launches that never solve do not pay for it;
-building a measurement platform discretises its network and pays it
-there.
+Only the time-domain path needs the discretisation and ``scipy.signal``
+(about a second to import), so a solver discretises its network on its
+first ``simulate``, ``simulate_batch`` or ``impulse_response`` call,
+which pays the import; a process whose solves are all periodic loads no
+scipy at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -132,19 +134,26 @@ class TransientSolver:
     HARMONIC_CACHE_ENTRIES = 64
 
     def __init__(self, network: PdnNetwork, dt: float):
-        from scipy import signal
-
         if dt <= 0:
             raise PdnError("dt must be positive")
         self.network = network
         self.dt = dt
+        self._harmonic_cache: dict[int, np.ndarray] = {}
+
+    @cached_property
+    def _sos(self) -> np.ndarray:
+        """The ZOH-exact second-order sections, built on first use (the
+        discrete state space is kept as ``_ad``, ``_bd``, ``_cd``, ``_dd``)."""
+        from scipy import signal
+
+        network = self.network
         system = (
             network.a_matrix,
             network.b_matrix,
             network.c_matrix,
             network.d_matrix,
         )
-        ad, bd, cd, dd, _ = signal.cont2discrete(system, dt, method="zoh")
+        ad, bd, cd, dd, _ = signal.cont2discrete(system, self.dt, method="zoh")
         self._ad, self._bd, self._cd, self._dd = ad, bd, cd, dd
         # Single-input single-output: factor into second-order sections so
         # the recurrence runs inside sosfilt (C speed).  Any route through a
@@ -154,8 +163,7 @@ class TransientSolver:
         # sampled at ~3 GHz) sit so close to z = 1 that the expanded
         # polynomial coefficients cancel catastrophically.  We therefore
         # compute poles and zeros directly from eigenproblems.
-        self._sos = _ss_to_sos(ad, bd, cd, dd)
-        self._harmonic_cache: dict[int, np.ndarray] = {}
+        return _ss_to_sos(ad, bd, cd, dd)
 
     def harmonic_response(self, n: int) -> np.ndarray:
         """``H(rfftfreq(n, dt))``, evaluated once per period length *n*.
@@ -309,19 +317,16 @@ _SOLVERS: dict[tuple, TransientSolver] = {}
 def shared_solver(params: PdnParameters, dt: float) -> TransientSolver:
     """The process-wide solver for *params*' network at sample interval *dt*.
 
-    Keyed on ``(board, package, die, load_line_ohm, dt)`` — everything the
-    discretisation reads — and not on ``vdd_nominal``, which it never
+    Keyed on ``(board, package, die, load_line_ohm, dt)`` — everything a
+    solve reads — and not on ``vdd_nominal``, which it never
     reads: every supply, and every pipeline built on the same network,
     shares one solver.  The memo is bounded (oldest entry evicted first).
     """
     key = (params.board, params.package, params.die, params.load_line_ohm, dt)
     solver = _SOLVERS.get(key)
     if solver is None:
-        # Load the module first, so the time a build takes (the
-        # ``pdn.build`` layer of benchmarks/perf) is discretisation
-        # alone, not the once-per-process import.
-        import scipy.signal  # noqa: F401
-
+        # Cheap: the solver discretises (and imports ``scipy.signal``)
+        # on its first time-domain solve, not here.
         solver = TransientSolver(PdnNetwork(params), dt)
         if len(_SOLVERS) >= SOLVER_MEMO_ENTRIES:
             _SOLVERS.pop(next(iter(_SOLVERS)), None)

@@ -234,10 +234,9 @@ class PdnStage:
         self.metrics = metrics
         self.cache = StageCache("pdn", max_entries=cache_entries)
         self._energy_model = EnergyModel(chip.power, chip.vdd, chip.frequency_hz)
-        # Discretise now: a process that builds a platform pays for its
-        # network (and the first ``scipy.signal`` import) during set-up,
-        # never inside its first measurement.
-        shared_solver(pdn, chip.cycle_time_s)
+        # No solver yet: :attr:`solver` resolves it on the first solve,
+        # and only a time-domain solve discretises the network (and
+        # imports ``scipy.signal``), inside that measurement.
 
     @property
     def solver(self) -> TransientSolver:

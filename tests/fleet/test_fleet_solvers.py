@@ -1,26 +1,71 @@
-"""Where a fleet discretises its PDN networks.
+"""Where a fleet pays for the time-domain PDN filter: nowhere, when
+every solve is periodic.
 
-The orchestrator builds each pending network's solver once, before its
-pool forks, so the shard workers inherit it instead of building their
-own; a fully banked resume builds none, registry publishing included.
+A 1T-per-module fleet scores its shards by periodic steady state, so
+neither the orchestrator nor its shard workers discretise a network or
+import ``scipy.signal``; a fully banked resume builds no solver at all,
+registry publishing included.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro import registry
 from repro.cli import main
 from repro.pdn import transient
-from repro.supervision import executor
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 MATRIX = ["--matrix", "pdn=nominal,+10%", "--matrix", "threads=1",
           "--matrix", "budget=4x2", "--matrix", "seed=1"]
 
+#: ``repro ARGS`` in a fresh interpreter.  Each shard worker appends
+#: ``<pid> <scipy.signal loaded?>`` to the log named by ``argv[1]`` after
+#: its shard; the orchestrator prints the same line, then its status.
+FLEET = """
+import os, sys
+from repro.cli import main
+from repro.fleet import orchestrator, shard
 
-def test_networks_are_discretised_once_before_the_pool_forks(tmp_path, monkeypatch):
+run_shard = shard.run_shard
+
+def probe(spec):
+    result = run_shard(spec)
+    with open(sys.argv[1], "a") as handle:
+        handle.write(f"{os.getpid()} {'scipy.signal' in sys.modules}\\n")
+    return result
+
+# Pickled by reference: forked workers resolve the same patched name.
+probe.__module__, probe.__qualname__ = shard.__name__, "run_shard"
+shard.run_shard = orchestrator.run_shard = probe
+status = main(sys.argv[2:])
+print(os.getpid(), "scipy.signal" in sys.modules, status)
+"""
+
+
+def test_a_periodic_fleet_never_loads_the_filter(tmp_path, monkeypatch):
+    log = tmp_path / "shards.log"
+    fleet_dir = tmp_path / "fleet"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", FLEET, str(log), "fleet", "run", *MATRIX,
+         "--workers", "2", "--dir", str(fleet_dir),
+         "--registry", str(tmp_path / "registry")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    here, loaded, status = out.stdout.split("\n")[-2].split()
+    assert (loaded, status) == ("False", "0")
+    shards = [line.split() for line in log.read_text().splitlines()]
+    assert len(shards) == 2
+    assert all(pid != here and loaded == "False" for pid, loaded in shards)
+
     log = tmp_path / "events.log"
 
     def note(event: str) -> None:
-        with open(log, "a") as handle:  # forked workers append here too
+        with open(log, "a") as handle:
             handle.write(f"{event} {os.getpid()}\n")
 
     init = transient.TransientSolver.__init__
@@ -29,22 +74,7 @@ def test_networks_are_discretised_once_before_the_pool_forks(tmp_path, monkeypat
         note("build")
         init(self, network, dt)
 
-    class MarkedPool(executor.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            note("pool")
-            super().__init__(*args, **kwargs)
-
     monkeypatch.setattr(transient.TransientSolver, "__init__", counting_init)
-    # The fleet's pool is the supervisor's.
-    monkeypatch.setattr(executor, "ProcessPoolExecutor", MarkedPool)
-    monkeypatch.setattr(transient, "_SOLVERS", {})
-    fleet_dir = tmp_path / "fleet"
-    assert main(["fleet", "run", *MATRIX, "--workers", "2", "--dir", str(fleet_dir),
-                 "--registry", str(tmp_path / "registry")]) == 0
-    here = os.getpid()
-    # One build per pending network (nominal, +10%), all in the
-    # orchestrator and before the pool; the workers build none.
-    assert log.read_text().splitlines() == [f"build {here}", f"build {here}", f"pool {here}"]
 
     # A fully banked resume still republishes both records, and builds nothing.
     published = []
@@ -56,7 +86,6 @@ def test_networks_are_discretised_once_before_the_pool_forks(tmp_path, monkeypat
 
     monkeypatch.setattr(registry, "record_from_shard", counting_record)
     monkeypatch.setattr(transient, "_SOLVERS", {})
-    log.unlink()
     assert main(["fleet", "run", "--resume", str(fleet_dir)]) == 0
     assert len(published) == 2
     assert not log.exists()

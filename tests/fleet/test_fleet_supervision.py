@@ -120,14 +120,17 @@ class TestClassification:
 
 
 class TestHungShard:
+    # One worker included: a deadline needs a killable process, so a
+    # --workers 1 fleet with a shard timeout runs on a one-worker pool.
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_hung_shard_killed_and_failed_without_poisoning_chain(
-        self, tmp_path
+        self, tmp_path, workers
     ):
         recorder = Recorder()
         orchestrator = FleetOrchestrator(
             two_seed_matrix(),
             tmp_path / "fleet",
-            workers=2,
+            workers=workers,
             observers=[recorder],
             shard_timeout_s=1.0,
             shard_retries=0,

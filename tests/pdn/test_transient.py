@@ -1,5 +1,7 @@
 """Tests for the transient solver: accuracy, stability, and droop physics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from repro.errors import PdnError
 from repro.pdn.elements import bulldozer_pdn
 from repro.pdn.impedance import first_droop_frequency
 from repro.pdn.network import PdnNetwork
-from repro.pdn.transient import TransientSolver, VoltageTrace
+from repro.pdn.transient import TransientSolver, VoltageTrace, _ss_to_sos
 from repro.power.trace import CurrentTrace, square_wave, step_load
 
 DT = 1 / 3.2e9
@@ -183,3 +185,38 @@ class TestLinearityProperties:
         vb = solver.simulate(b, vdd=VDD).samples - VDD
         vab = solver.simulate(a + b, vdd=VDD).samples - VDD
         np.testing.assert_allclose(vab, va + vb, atol=1e-9)
+
+
+class TestLazyDiscretisation:
+    """The sections are built on first use, and are exactly those an
+    eager ``cont2discrete`` + :func:`_ss_to_sos` build gives."""
+
+    #: SHA-256 of the float64 outputs below, as computed when solvers
+    #: discretised in ``__init__``.
+    SIMULATE_SHA256 = "72c015d56d7e386ab6a8b551d0fe5bb5aae204b059af6501c74d0c1833b3f5ab"
+    SIMULATE_BATCH_SHA256 = "57893e86e6de9e1632dffa242d4c6d2bcb67203e49529baaec8c5c971a4234ea"
+
+    @staticmethod
+    def load() -> np.ndarray:
+        return 5.0 + 30.0 * (np.arange(512) % 37 < 18)
+
+    def test_sections_match_a_direct_build_bit_for_bit(self, network):
+        from scipy import signal
+
+        fresh = TransientSolver(network, DT)
+        assert "_sos" not in vars(fresh)
+        system = (network.a_matrix, network.b_matrix, network.c_matrix,
+                  network.d_matrix)
+        want = _ss_to_sos(*signal.cont2discrete(system, DT, method="zoh")[:4])
+        assert fresh._sos.tobytes() == want.tobytes()
+        assert fresh._sos.shape == want.shape
+
+    def test_simulate_matches_eager_discretisation(self, network):
+        load = self.load()
+        solver = TransientSolver(network, DT)
+        v = solver.simulate(CurrentTrace(load, DT), vdd=VDD, baseline_current_a=5.0)
+        assert hashlib.sha256(v.samples.tobytes()).hexdigest() == self.SIMULATE_SHA256
+        volts = TransientSolver(network, DT).simulate_batch(
+            np.stack([load, load[::-1]]), baselines=[5.0, 0.0], vdd_rows=[VDD, 1.0],
+        )
+        assert hashlib.sha256(volts.tobytes()).hexdigest() == self.SIMULATE_BATCH_SHA256

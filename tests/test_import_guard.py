@@ -1,11 +1,13 @@
 """Import hygiene: what a launch loads, and what can be imported first.
 
-``scipy.signal`` loads when a platform is built, not when ``repro``
-starts.  Launches that never solve a PDN (``--version``, registry
-listings, fleet status, a fleet resume served from its bank) must not pay
-the import; every process that will solve pays it while building its
-platform.  Every ``repro.supervision`` module imports cleanly as the
-first module of a fresh interpreter.
+``scipy.signal`` loads on a process's first time-domain PDN solve, not
+when ``repro`` starts or a platform is built.  Launches that never solve
+(``--version``, registry listings, fleet status, a fleet resume served
+from its bank) and launches whose solves are all periodic (``qualify`` at
+one thread per module, ``registry verify``) must not pay the import; an
+SMT launch, whose jittered solves run in the time domain, does.  Every
+``repro.supervision`` module imports cleanly as the first module of a
+fresh interpreter.
 """
 
 import json
@@ -74,10 +76,18 @@ class TestLaunchesThatNeverSolve:
         assert not loads_signal(LAUNCH, "fleet", "run", "--resume",
                                 str(finished_fleet / "fleet"))
 
-    def test_a_launch_that_solves_does_load_it(self, finished_fleet):
+    def test_periodic_qualify(self):
+        assert not loads_signal(LAUNCH, "qualify", "a-res", "--threads", "2")
+
+    def test_registry_verify(self, finished_fleet):
         registry = finished_fleet / "registry"
         record_id = json.loads((registry / "index.jsonl").read_text().splitlines()[0])["record_id"]
-        assert loads_signal(LAUNCH, "registry", "verify", str(registry), record_id)
+        assert not loads_signal(LAUNCH, "registry", "verify", str(registry), record_id)
+
+    def test_a_launch_that_solves_does_load_it(self):
+        # 8T pairs two threads per module: SMT jitter takes the
+        # time-domain path.
+        assert loads_signal(LAUNCH, "qualify", "a-res", "--threads", "8")
 
 
 @pytest.mark.parametrize("module", [
@@ -93,13 +103,47 @@ def test_supervision_imports_first_in_a_fresh_interpreter(module):
     assert out.returncode == 0, out.stderr[-2000:]
 
 
-def test_building_a_platform_discretises_its_network(monkeypatch):
-    from repro.experiments.setup import bulldozer_testbed
-    from repro.pdn import transient
+def test_building_a_platform_resolves_no_solver():
+    assert not loads_signal(
+        "import sys\n"
+        "from repro.experiments.setup import bulldozer_testbed\n"
+        "from repro.pdn import transient\n"
+        "bulldozer_testbed()\n"
+        "assert not transient._SOLVERS, transient._SOLVERS\n"
+        "print('scipy.signal' in sys.modules)"
+    )
 
+
+def test_the_first_transient_solve_discretises_once(monkeypatch):
+    import numpy as np
+
+    from repro.pdn import transient
+    from repro.power.trace import CurrentTrace
+
+    builds = []
+    ss_to_sos = transient._ss_to_sos
+
+    def counting_ss_to_sos(*state_space):
+        builds.append(state_space)
+        return ss_to_sos(*state_space)
+
+    monkeypatch.setattr(transient, "_ss_to_sos", counting_ss_to_sos)
     monkeypatch.setattr(transient, "_SOLVERS", {})
+    from repro.experiments.setup import bulldozer_testbed
+
     platform = bulldozer_testbed()
-    pdn = platform.pipeline.pdn_stage.pdn
+    stage = platform.pipeline.pdn_stage
+    solver = stage.solver
+    pdn = stage.pdn
     key = (pdn.board, pdn.package, pdn.die, pdn.load_line_ohm, platform.chip.cycle_time_s)
-    assert list(transient._SOLVERS) == [key]
-    assert platform.pipeline.pdn_stage.solver is transient._SOLVERS[key]
+    assert transient._SOLVERS == {key: solver}
+    load = CurrentTrace(np.linspace(5.0, 30.0, 64), solver.dt)
+    solver.steady_state_periodic(load, vdd=1.2)
+    solver.steady_state_periodic_batch(np.stack([load.samples] * 2), vdd_rows=[1.2, 1.1])
+    assert builds == []
+    solver.simulate(load, vdd=1.2)
+    solver.simulate_batch(np.stack([load.samples] * 2), baselines=[0.0, 5.0],
+                          vdd_rows=[1.2, 1.1])
+    solver.impulse_response(16)
+    assert len(builds) == 1
+    assert stage.solver is solver
