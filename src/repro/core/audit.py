@@ -258,7 +258,7 @@ class AuditRunner:
         uninterrupted run, because both the GA's RNG stream and the
         evaluator's memoised fitness values survive the restart.  (The
         resonance sweep is deterministic, so it is simply re-run, though
-        it can take ~40% of a short campaign's wall time.)
+        it takes about a fifth of a short campaign's wall time.)
 
         With ``qualify``, the GA winner is qualified under perturbations
         (see :class:`~repro.core.qualify.StressmarkQualifier`); an

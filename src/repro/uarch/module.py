@@ -17,10 +17,20 @@ reproduced by ``benchmarks/test_sec5a5_nop_analysis.py``).
 Loops are assumed perfectly predicted (they are: a fixed-trip-count ``dec
 rcx; jnz``), so there is no misprediction modelling here; benchmark-style
 irregular activity is modelled separately in :mod:`repro.workloads`.
+
+Because the scheduler is deterministic and the loop branch always goes the
+same way, a run whose machine state repeats is periodic from then on.  Each
+time thread 0 starts an iteration, :func:`_fast_forward` takes the state
+relative to the current cycle (:func:`_machine_state`); at its first
+repeat it copies whole periods of the trace forward instead of simulating
+them, then simulates the remaining iterations and the drain.  The result is
+bit-identical to simulating every cycle.  Runs that never repeat (threads
+that do not share a period) are simulated in full.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +66,13 @@ _MAX_CYCLES = 2_000_000
 class _InFlight:
     """A decoded, not-yet-issued (or executing) instruction."""
 
-    __slots__ = ("inst", "producers", "ready_cycle", "is_loop_close", "token_pool")
+    __slots__ = ("inst", "slot", "producers", "ready_cycle", "is_loop_close",
+                 "token_pool")
 
-    def __init__(self, inst: Instruction, producers: list["_InFlight"],
+    def __init__(self, inst: Instruction, slot: int, producers: list["_InFlight"],
                  is_loop_close: bool = False):
         self.inst = inst
+        self.slot = slot  # position in the thread's loop body
         self.producers = producers
         self.ready_cycle: int | None = None  # set at issue
         self.is_loop_close = is_loop_close
@@ -261,6 +273,10 @@ class ModuleSimulator:
             "decoded": 0,
             "retired": 0,
         }
+        # Machine states seen at thread 0's iteration starts; None once a
+        # repeat has been fast-forwarded.
+        seen: dict | None = {}
+        observed_iteration = -1
         cycle = 0
         last_cycle = 0
         while not all(t.drained for t in threads):
@@ -273,6 +289,17 @@ class ModuleSimulator:
             fp_tokens.advance_to(cycle)
             for t in threads:
                 t.int_tokens.advance_to(cycle)
+
+            lead = threads[0]
+            if seen is not None and lead.iteration > observed_iteration:
+                observed_iteration = lead.iteration
+                skipped = _fast_forward(seen, threads, fp_pools, fp_tokens,
+                                        fp_throttle, energy, sens, counters, cycle)
+                if skipped:
+                    seen = None
+                    cycle += skipped
+                    last_cycle = cycle - 1
+                    continue
 
             order = threads if cycle % 2 == 0 else list(reversed(threads))
             self._decode_cycle(order, module.decode_width, fp_tokens, energy,
@@ -353,7 +380,7 @@ class ModuleSimulator:
                     for reg in inst.reads
                     if reg in t.rename
                 ]
-                record = _InFlight(inst, producers,
+                record = _InFlight(inst, t.pos, producers,
                                    is_loop_close=inst.spec is LOOP_CLOSE_SPEC)
                 record.token_pool = acquired
                 t.window.append(record)
@@ -435,6 +462,8 @@ class ModuleSimulator:
                     record.token_pool.release_at(cycle + 1)
                 counters["retired"] += 1
                 retired += 1
+        if fp_throttle is not None:
+            fp_throttle.forget_before(cycle - 2)
         return issued_any
 
     @staticmethod
@@ -456,3 +485,130 @@ class ModuleSimulator:
         if pool is None:
             raise SchedulingError(f"no unit pool for {unit!r}")
         return pool
+
+
+def _machine_state(threads, fp_pools, fp_tokens, fp_throttle, sens,
+                   cycle) -> tuple[tuple, int]:
+    """The state that decides a run's future, taken relative to *cycle*.
+
+    Taken at the start of *cycle*, after token releases are applied.  Two
+    cycles with equal states evolve identically, shifted by their distance,
+    for as long as no thread reaches its iteration target.  Times at or
+    before *cycle* all behave alike and read 0; in-flight producers are ROB
+    indices, or -1 once their result is ready.  The sensitivity already
+    written past *cycle* comes from ops still in flight and is part of the
+    state.  With two threads the cycle's parity is too, because decode and
+    issue order alternate on odd cycles.
+
+    Returns the state and the last cycle an in-flight op completes.
+    """
+    horizon = cycle
+    per_thread = []
+    for t in threads:
+        index = {id(record): i for i, record in enumerate(t.rob)}
+
+        def ref(record: _InFlight) -> int:
+            ready = record.ready_cycle
+            return -1 if ready is not None and ready <= cycle else index[id(record)]
+
+        rob = []
+        for record in t.rob:
+            ready = record.ready_cycle
+            if ready is not None:
+                horizon = max(horizon, ready)
+            pool = record.token_pool
+            rob.append((
+                record.slot,
+                None if ready is None else max(0, ready - cycle),
+                0 if pool is None else 1 if pool is t.int_tokens else 2,
+                tuple(ref(p) for p in record.producers),
+            ))
+        per_thread.append((
+            t.pos,
+            max(0, t.start_cycle - cycle),
+            tuple(rob),
+            tuple(index[id(record)] for record in t.window),
+            frozenset((reg, ref(record)) for reg, record in t.rename.items()),
+            t.int_tokens.state(cycle),
+            t.ialu.state(cycle),
+            t.agu.state(cycle),
+            t.imul.state(cycle),
+            t.result_bus.state(cycle),
+        ))
+    shared = (
+        tuple(pool.state(cycle) for pool in fp_pools.values()),
+        fp_tokens.state(cycle),
+        None if fp_throttle is None else fp_throttle.state(cycle),
+    )
+    parity = cycle % 2 if len(threads) == 2 else 0
+    return (tuple(per_thread), shared, sens[cycle:horizon].tobytes(), parity), horizon
+
+
+def _fast_forward(seen: dict, threads, fp_pools, fp_tokens, fp_throttle,
+                  energy: np.ndarray, sens: np.ndarray, counters: dict,
+                  cycle: int) -> int:
+    """Skip whole periods once the machine state repeats; return cycles skipped.
+
+    Called when thread 0 starts an iteration.  A new state is stored in
+    *seen* with the cycle, iteration counts and counters it was taken at.
+    On a repeat, period P is the distance to the earlier cycle.  The run
+    skips as many whole periods as leave every thread short of its
+    iteration target (so no thread reaches it inside a skipped period),
+    stay under the cycle cap and fit the trace buffers.  Skipping tiles
+    the period's energy and sensitivity in place, appends the shifted
+    iteration starts, adds each counter's per-period change and moves
+    every absolute time forward.
+    """
+    if any(t.decode_done for t in threads):
+        return 0
+    state, horizon = _machine_state(threads, fp_pools, fp_tokens, fp_throttle,
+                                    sens, cycle)
+    earlier = seen.get(state)
+    if earlier is None:
+        seen[state] = (
+            cycle,
+            tuple(t.iteration for t in threads),
+            tuple(len(t.iter_start_cycles) for t in threads),
+            copy.deepcopy(counters),
+        )
+        return 0
+    first, iterations, start_counts, before = earlier
+    period = cycle - first
+    per_period = [t.iteration - done for t, done in zip(threads, iterations)]
+    ahead = horizon - cycle
+    periods = min(
+        (_MAX_CYCLES - 1 - cycle) // period,
+        (len(sens) - cycle - ahead) // period,
+        *((t.target_iterations - 1 - t.iteration) // k
+          for t, k in zip(threads, per_period) if k > 0),
+    )
+    if periods <= 0:
+        return 0
+
+    skip = periods * period
+    end = cycle + skip
+    in_flight = sens[cycle:horizon].copy()
+    energy[cycle:end].reshape(periods, period)[:] = energy[first:cycle]
+    sens[cycle:end].reshape(periods, period)[:] = sens[first:cycle]
+    sens[end:end + ahead] = in_flight
+    for t, k, count in zip(threads, per_period, start_counts):
+        t.iteration += periods * k
+        recent = t.iter_start_cycles[count:]
+        t.iter_start_cycles.extend(
+            start + n * period for n in range(1, periods + 1) for start in recent
+        )
+        for record in t.rob:
+            if record.ready_cycle is not None:
+                record.ready_cycle += skip
+        for resource in (t.int_tokens, t.ialu, t.agu, t.imul, t.result_bus):
+            resource.shift(skip)
+    for resource in (*fp_pools.values(), fp_tokens, fp_throttle):
+        if resource is not None:
+            resource.shift(skip)
+    for group in ("issues", "decode_stalls"):
+        totals = counters[group]
+        for key, value in totals.items():
+            totals[key] = value + periods * (value - before[group].get(key, 0))
+    for key in ("decoded", "retired"):
+        counters[key] += periods * (counters[key] - before[key])
+    return skip

@@ -49,6 +49,15 @@ class TokenPool:
         if self._in_use < 0:
             raise SchedulingError(f"{self.name}: released more tokens than acquired")
 
+    def state(self, now: int) -> tuple:
+        """Tokens in use and pending releases, with release times relative to *now*."""
+        pending = tuple(sorted((c - now, n) for c, n in self._releases.items()))
+        return self._in_use, pending
+
+    def shift(self, cycles: int) -> None:
+        """Move every pending release *cycles* later."""
+        self._releases = {c + cycles: n for c, n in self._releases.items()}
+
 
 class UnitPool:
     """A pool of identical execution pipes with per-pipe busy times.
@@ -76,6 +85,14 @@ class UnitPool:
     def free_pipes(self, cycle: int) -> int:
         """Number of pipes idle at *cycle*."""
         return sum(1 for b in self._busy_until if b <= cycle)
+
+    def state(self, now: int) -> tuple:
+        """Per-pipe busy times relative to *now*; an idle pipe reads 0."""
+        return tuple(max(0, b - now) for b in self._busy_until)
+
+    def shift(self, cycles: int) -> None:
+        """Move every pipe's busy time *cycles* later."""
+        self._busy_until = [b + cycles for b in self._busy_until]
 
 
 class PerCycleLimiter:
@@ -108,3 +125,11 @@ class PerCycleLimiter:
         stale = [c for c in self._counts if c < cycle]
         for c in stale:
             del self._counts[c]
+
+    def state(self, now: int) -> tuple:
+        """Counts at cycles >= *now*, relative to *now* (earlier ones never matter)."""
+        return tuple(sorted((c - now, n) for c, n in self._counts.items() if c >= now))
+
+    def shift(self, cycles: int) -> None:
+        """Move every recorded count *cycles* later."""
+        self._counts = {c + cycles: n for c, n in self._counts.items()}
