@@ -121,8 +121,8 @@ def _batched_pdn_benchmark(scenario: dict) -> dict:
     from repro.core.resonance import probe_program
     from repro.experiments.setup import bulldozer_testbed, phenom_testbed
     from repro.isa.opcodes import default_table
-    from repro.pipeline import MeasurementPipeline
     from repro.pipeline.artifacts import MeasureRequest
+    from repro.pipeline.pipeline import MeasurementPipeline
 
     testbed = {"bulldozer": bulldozer_testbed, "phenom": phenom_testbed}
     serial = testbed[scenario["chip"]]()
@@ -173,7 +173,7 @@ def _obs_benchmark(scenario: dict) -> dict:
     Measures a set of distinct probe programs — so every measurement
     runs the full compile → activity → PDN pipeline, the same work a
     campaign evaluation does — on two fresh platforms, one bare and one
-    under a live :class:`~repro.obs.Tracer` feeding a span buffer.  The
+    under a live :class:`~repro.obs.spans.Tracer` feeding a span buffer.  The
     two sides interleave *per measurement* with alternating order, so
     scheduler and frequency noise (which on shared runners drifts on a
     ~100 ms scale and reads as a phantom 5 %+ overhead in any
@@ -194,8 +194,7 @@ def _obs_benchmark(scenario: dict) -> dict:
     from repro.core.resonance import probe_program
     from repro.experiments.setup import bulldozer_testbed, phenom_testbed
     from repro.isa.opcodes import default_table
-    from repro.obs import Tracer, tracing
-    from repro.obs.spans import SpanBuffer
+    from repro.obs.spans import SpanBuffer, Tracer, tracing
 
     testbed = {"bulldozer": bulldozer_testbed, "phenom": phenom_testbed}
     threads = scenario["threads"]
@@ -265,7 +264,8 @@ def _fleet_benchmark(scenario: dict) -> dict:
     import shutil
     import tempfile
 
-    from repro.fleet import FleetOrchestrator, ScenarioMatrix
+    from repro.fleet.matrix import ScenarioMatrix
+    from repro.fleet.orchestrator import FleetOrchestrator
     from repro.fleet.shard import ShardSpec, run_shard
 
     matrix = ScenarioMatrix(
@@ -313,12 +313,10 @@ def _registry_benchmark(report, fleet_wall: float) -> dict:
     import shutil
     import tempfile
 
-    from repro.registry import (
-        StressmarkRegistry,
-        provenance_stamp,
-        record_from_shard,
-        verify_record,
-    )
+    from repro.registry.provenance import provenance_stamp
+    from repro.registry.record import record_from_shard
+    from repro.registry.store import StressmarkRegistry
+    from repro.registry.verify import verify_record
 
     registry_dir = tempfile.mkdtemp(prefix="bench-registry-")
     try:

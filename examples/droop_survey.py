@@ -15,15 +15,15 @@ from repro.analysis.report import format_table
 from repro.experiments.setup import bulldozer_testbed
 from repro.isa.opcodes import default_table
 from repro.measure.droop import DroopHistogram
-from repro.workloads import (
+from repro.workloads.parsec import parsec_model
+from repro.workloads.runner import run_workload
+from repro.workloads.spec import spec_model
+from repro.workloads.stressmarks import (
     a_ex_canned,
     a_res_canned,
-    parsec_model,
-    run_workload,
     sm1,
     sm2,
     sm_res,
-    spec_model,
     stressmark_program,
 )
 

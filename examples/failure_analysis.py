@@ -17,13 +17,13 @@ from repro.experiments.setup import (
     workload_failure_voltage,
 )
 from repro.isa.opcodes import default_table
-from repro.workloads import (
+from repro.workloads.spec import spec_model
+from repro.workloads.stressmarks import (
     a_ex_canned,
     a_res_canned,
     sm1,
     sm2,
     sm_res,
-    spec_model,
     stressmark_program,
 )
 

@@ -26,7 +26,8 @@ import tempfile
 from repro.core.resonance import find_resonance
 from repro.errors import SchedulingError
 from repro.experiments.setup import bulldozer_testbed, phenom_testbed
-from repro.fleet import FleetOrchestrator, ScenarioMatrix
+from repro.fleet.matrix import ScenarioMatrix
+from repro.fleet.orchestrator import FleetOrchestrator
 from repro.isa.opcodes import default_table
 from repro.workloads.stressmarks import sm1, sm2, stressmark_program
 

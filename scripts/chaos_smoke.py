@@ -35,8 +35,8 @@ from repro.core.ga import GaConfig
 from repro.core.platform import MeasurementPlatform
 from repro.core.telemetry import JsonlObserver, TelemetryCollector
 from repro.experiments.setup import bulldozer_testbed
-from repro.supervision import SupervisedExecutor
 from repro.supervision.chaos import truncate_file
+from repro.supervision.executor import SupervisedExecutor
 
 CHAOS = FaultInjectionConfig(
     seed=2,

@@ -9,8 +9,8 @@ paper's AMD Bulldozer / Phenom II boards.
 
 Quick tour::
 
-    from repro.core import AuditRunner, AuditConfig
-    from repro.experiments import bulldozer_testbed
+    from repro.core.audit import AuditRunner
+    from repro.experiments.setup import bulldozer_testbed
 
     platform = bulldozer_testbed()          # chip model + PDN + scope path
     result = AuditRunner(platform).run()    # resonance sweep + GA loop

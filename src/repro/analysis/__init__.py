@@ -1,14 +1,1 @@
-"""Analysis helpers: spectra, histograms, and report tables."""
-
-from repro.analysis.report import format_table, millivolts, relative, vf_delta_label
-from repro.analysis.spectrum import Spectrum, activity_fundamental_hz, amplitude_spectrum
-
-__all__ = [
-    "Spectrum",
-    "activity_fundamental_hz",
-    "amplitude_spectrum",
-    "format_table",
-    "millivolts",
-    "relative",
-    "vf_delta_label",
-]
+"""Analysis helpers: spectra and report tables."""

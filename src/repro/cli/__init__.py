@@ -42,74 +42,4 @@ and platform builders), one module per command family, and
 :mod:`repro.cli._main` (parser assembly + crash reporting).
 """
 
-from __future__ import annotations
-
-from repro.cli._common import (
-    EXIT_CONFIG,
-    EXIT_CRASH,
-    EXIT_FAULTS,
-    EXIT_FAILURE,
-    EXIT_INVARIANT,
-    EXIT_OK,
-    _fault_policy,
-    _observers,
-    _platform,
-    _platform_factory,
-)
-from repro.cli._audit import cmd_audit
-from repro.cli._experiments import EXPERIMENTS, cmd_experiment, cmd_list
-from repro.cli._fleet import cmd_fleet_report, cmd_fleet_run, cmd_fleet_status
-from repro.cli._main import build_parser, main
-from repro.cli._qualify import CANNED_STRESSMARKS, cmd_qualify
-from repro.cli._registry import (
-    cmd_registry_compare,
-    cmd_registry_export,
-    cmd_registry_import,
-    cmd_registry_list,
-    cmd_registry_query,
-    cmd_registry_show,
-    cmd_registry_verify,
-)
-from repro.cli._telemetry import (
-    cmd_telemetry_analyze,
-    cmd_telemetry_compare,
-    cmd_telemetry_export,
-)
-from repro.cli._tools import cmd_bench_evals, cmd_netlist, cmd_sweep
-
-__all__ = [
-    "CANNED_STRESSMARKS",
-    "EXIT_CONFIG",
-    "EXIT_CRASH",
-    "EXIT_FAILURE",
-    "EXIT_FAULTS",
-    "EXIT_INVARIANT",
-    "EXIT_OK",
-    "EXPERIMENTS",
-    "build_parser",
-    "cmd_audit",
-    "cmd_bench_evals",
-    "cmd_experiment",
-    "cmd_fleet_report",
-    "cmd_fleet_run",
-    "cmd_fleet_status",
-    "cmd_list",
-    "cmd_netlist",
-    "cmd_qualify",
-    "cmd_registry_compare",
-    "cmd_registry_export",
-    "cmd_registry_import",
-    "cmd_registry_list",
-    "cmd_registry_query",
-    "cmd_registry_show",
-    "cmd_registry_verify",
-    "cmd_sweep",
-    "cmd_telemetry_analyze",
-    "cmd_telemetry_compare",
-    "cmd_telemetry_export",
-    "main",
-    "_fault_policy",
-    "_observers",
-    "_platform",
-    "_platform_factory",
-]
+from repro.cli._main import main

@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.audit import AuditConfig, AuditRunner, StressmarkMode
-from repro.core.checkpoint import CampaignCheckpoint, validate_campaign_meta
-from repro.core.ga import GaConfig
-from repro.core.qualify import QualificationCheckpoint, QualifyConfig
-from repro.core.telemetry import TelemetryCollector
-from repro.errors import CheckpointError
-from repro.isa.encoder import encode_program
-
+from repro.cli import _common
 from repro.cli._common import (
     _add_campaign_args,
     _add_registry_args,
@@ -23,10 +16,16 @@ from repro.cli._common import (
     _shutdown_coordinator,
     _tracing_scope,
 )
+from repro.core.telemetry import TelemetryCollector
+from repro.errors import CheckpointError
 
 
 def cmd_audit(args) -> int:
-    from repro.cli import _platform
+    from repro.core.audit import AuditConfig, AuditRunner, StressmarkMode
+    from repro.core.checkpoint import CampaignCheckpoint, validate_campaign_meta
+    from repro.core.ga import GaConfig
+    from repro.core.qualify import QualificationCheckpoint, QualifyConfig
+    from repro.isa.encoder import encode_program
 
     checkpoint = None
     resume = False
@@ -57,7 +56,7 @@ def cmd_audit(args) -> int:
             "generations": args.generations,
             "seed": args.seed,
         })
-    platform = _platform(args.chip, args.throttle)
+    platform = _common._platform(args.chip, args.throttle)
     mode = StressmarkMode(args.mode)
     config = AuditConfig(
         threads=args.threads,
@@ -121,12 +120,12 @@ def cmd_audit(args) -> int:
             print(f"qualification: {qual.verdict} "
                   f"(robustness {qual.chosen_report.robustness:.2f})")
     if args.registry is not None:
-        from repro.registry import (
+        from repro.registry.provenance import (
             platform_descriptor,
             provenance_stamp,
-            record_from_audit,
             telemetry_summary,
         )
+        from repro.registry.record import record_from_audit
 
         record = record_from_audit(
             result,

@@ -1,40 +1,36 @@
-"""Shared CLI plumbing: exit codes, flags, platform builders, telemetry.
+"""Shared CLI plumbing: flags, platform builders, telemetry.
 
 Everything here is command-agnostic; the per-command modules
 (:mod:`repro.cli._audit`, :mod:`repro.cli._qualify`, …) import from this
-module only, never from each other.
+module only, never from each other.  Exit codes live in
+:mod:`repro.errors`.  Like the command modules, this one imports the
+numpy-backed simulator inside the functions that use it, so building
+the parser loads none of it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+from typing import TYPE_CHECKING
 
-from repro.core.faults import FaultPolicy
 from repro.core.telemetry import (
     ConsoleObserver,
     JsonlObserver,
     RecentEventsObserver,
 )
-from repro.errors import (  # noqa: F401 — canonical home is repro.errors
-    EXIT_CONFIG,
-    EXIT_CRASH,
-    EXIT_FAILURE,
-    EXIT_FAULTS,
-    EXIT_INTERRUPTED,
-    EXIT_INVARIANT,
-    EXIT_OK,
-    CampaignInterrupted,
-    ConfigurationError,
-    ReproError,
-)
-from repro.experiments.setup import bulldozer_testbed, phenom_testbed
+from repro.errors import ConfigurationError, ReproError
+
+if TYPE_CHECKING:
+    from repro.core.faults import FaultPolicy
 
 #: Flight recorder for crash reports; reset per ``main`` invocation.
 _flight_recorder = RecentEventsObserver()
 
 
 def _platform(chip: str, throttle: int | None = None):
+    from repro.experiments.setup import bulldozer_testbed, phenom_testbed
+
     if chip == "bulldozer":
         return bulldozer_testbed(fp_throttle=throttle)
     if chip == "phenom":
@@ -89,6 +85,8 @@ def _fault_policy(args) -> FaultPolicy | None:
     """A FaultPolicy from the campaign CLI flags (None = fail-fast)."""
     if args.eval_retries is None and args.on_fault is None:
         return None
+    from repro.core.faults import FaultPolicy
+
     return FaultPolicy(
         max_retries=args.eval_retries if args.eval_retries is not None else 2,
         backoff_s=args.eval_backoff,
@@ -134,7 +132,7 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
 
 def _shutdown_coordinator(args, observers):
     """A ShutdownCoordinator wired to SIGTERM/SIGINT + --max-wall-clock."""
-    from repro.supervision import ShutdownCoordinator
+    from repro.supervision.shutdown import ShutdownCoordinator
 
     return ShutdownCoordinator(
         max_wall_clock_s=getattr(args, "max_wall_clock", None),
@@ -198,7 +196,7 @@ def _add_registry_args(parser: argparse.ArgumentParser) -> None:
 
 def _publish_record(args, record, observers) -> None:
     """Publish *record* into ``args.registry`` and narrate the outcome."""
-    from repro.registry import StressmarkRegistry
+    from repro.registry.store import StressmarkRegistry
 
     registry = StressmarkRegistry(args.registry, observers=observers)
     outcome = registry.publish(record)

@@ -5,18 +5,19 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.report import format_table
-from repro.experiments.setup import bulldozer_testbed, phenom_testbed
-from repro.isa.opcodes import default_table
 
 
 def _run_fig3():
     from repro.experiments import fig3_resonances as mod
+    from repro.experiments.setup import bulldozer_testbed
 
     return mod.report(mod.run_fig3(bulldozer_testbed()))
 
 
 def _run_fig4():
     from repro.experiments import fig4_excitation_vs_resonance as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_fig4(bulldozer_testbed(), default_table()))
 
@@ -24,6 +25,8 @@ def _run_fig4():
 def _run_fig6():
     from repro.core.resonance import probe_program
     from repro.experiments import fig6_natural_dithering as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     program = probe_program(default_table(), hp_count=32, lp_nops=95)
     return mod.report(mod.run_fig6(bulldozer_testbed(), program))
@@ -31,12 +34,16 @@ def _run_fig6():
 
 def _run_fig9():
     from repro.experiments import fig9_droop_comparison as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_fig9(bulldozer_testbed(), default_table()))
 
 
 def _run_fig10():
     from repro.experiments import fig10_histograms as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_fig10(bulldozer_testbed(), default_table(),
                                     samples=1_000_000))
@@ -44,12 +51,16 @@ def _run_fig10():
 
 def _run_table1():
     from repro.experiments import table1_failure as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_table1(bulldozer_testbed(), default_table()))
 
 
 def _run_table2():
     from repro.experiments import table2_throttling as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_table2(
         bulldozer_testbed(), bulldozer_testbed(fp_throttle=1), default_table()
@@ -58,6 +69,8 @@ def _run_table2():
 
 def _run_table3():
     from repro.experiments import table3_phenom as mod
+    from repro.experiments.setup import phenom_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_table3(phenom_testbed(), default_table()))
 
@@ -70,12 +83,16 @@ def _run_sec3b():
 
 def _run_sec3c():
     from repro.experiments import sec3c_hierarchical as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_sec3c(bulldozer_testbed(), default_table()))
 
 
 def _run_sec3_data():
     from repro.experiments import sec3_data_values as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_sec3_data_values(bulldozer_testbed(),
                                                default_table()))
@@ -83,18 +100,24 @@ def _run_sec3_data():
 
 def _run_sec5a1():
     from repro.experiments import sec5a1_barrier as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_sec5a1(bulldozer_testbed(), default_table()))
 
 
 def _run_sec5a5():
     from repro.experiments import sec5a5_nop_analysis as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_sec5a5(bulldozer_testbed(), default_table()))
 
 
 def _run_sec5_sim():
     from repro.experiments import sec5_simulator_insights as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_sec5_simulator_insights(bulldozer_testbed(),
                                                       default_table()))
@@ -102,6 +125,8 @@ def _run_sec5_sim():
 
 def _run_sec5_qualify():
     from repro.experiments import sec5_qualification as mod
+    from repro.experiments.setup import bulldozer_testbed
+    from repro.isa.opcodes import default_table
 
     return mod.report(mod.run_sec5_qualification(bulldozer_testbed(),
                                                  default_table()))

@@ -5,20 +5,19 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.cli._common import (
-    EXIT_OK,
     _add_fault_args,
     _fault_policy,
     _observers,
     _shutdown_coordinator,
     _tracing_scope,
 )
-from repro.errors import CheckpointError, ConfigurationError
-from repro.fleet.matrix import ScenarioMatrix, load_spec
-from repro.fleet.orchestrator import FLEET_FILE, FleetOrchestrator
-from repro.fleet.report import REPORT_FILE, FleetReport, report_from_payload
-from repro.fleet.shard import load_result
+from repro.errors import EXIT_OK, CheckpointError, ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.fleet.report import FleetReport
 
 _NO_MATRIX = (
     "fleet run needs a scenario matrix: --spec FILE, --matrix axis=v1,v2 "
@@ -28,6 +27,9 @@ _NO_MATRIX = (
 
 def _build_orchestrator(args, stop_check) -> tuple:
     """(orchestrator, jsonl observer) from the run flags."""
+    from repro.fleet.matrix import ScenarioMatrix, load_spec
+    from repro.fleet.orchestrator import FleetOrchestrator
+
     observers, jsonl = _observers(args)
     supervision = {
         "shard_timeout_s": args.shard_timeout,
@@ -76,6 +78,8 @@ def _build_orchestrator(args, stop_check) -> tuple:
 
 
 def cmd_fleet_run(args) -> int:
+    from repro.fleet.report import REPORT_FILE
+
     coordinator = _shutdown_coordinator(args, [])
     orchestrator, jsonl = _build_orchestrator(args, coordinator.stop_requested)
     coordinator.observers.extend(orchestrator.observers)
@@ -98,7 +102,7 @@ def cmd_fleet_run(args) -> int:
 
 def _export_fleet_telemetry(trace_path, fleet_dir: Path) -> None:
     """Render the campaign trace as ``telemetry.md`` next to the report."""
-    from repro.obs import analyze_trace, render_markdown
+    from repro.obs.trace import analyze_trace, render_markdown
 
     try:
         analysis = analyze_trace(trace_path)
@@ -125,6 +129,8 @@ def _print_summary(report: FleetReport) -> None:
 
 
 def _fleet_dir(args) -> Path:
+    from repro.fleet.orchestrator import FLEET_FILE
+
     directory = Path(args.dir)
     meta_path = directory / FLEET_FILE
     if not meta_path.exists():
@@ -134,6 +140,9 @@ def _fleet_dir(args) -> Path:
 
 
 def cmd_fleet_status(args) -> int:
+    from repro.fleet.orchestrator import FleetOrchestrator
+    from repro.fleet.shard import load_result
+
     directory = _fleet_dir(args)
     orchestrator = FleetOrchestrator.resume(directory)
     done = 0
@@ -162,6 +171,9 @@ def _banked_generation(state_path: Path):
 
 
 def cmd_fleet_report(args) -> int:
+    from repro.fleet.orchestrator import FleetOrchestrator
+    from repro.fleet.report import REPORT_FILE, report_from_payload
+
     directory = _fleet_dir(args)
     report_path = directory / REPORT_FILE
     if args.rebuild or not report_path.exists():

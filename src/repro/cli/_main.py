@@ -9,15 +9,6 @@ import time
 import traceback
 from pathlib import Path
 
-from repro.core.faults import QuarantineExhaustedError
-from repro.core.telemetry import RecentEventsObserver
-from repro.errors import (
-    CampaignInterrupted,
-    ConfigurationError,
-    InvariantViolation,
-    ReproError,
-)
-
 from repro import package_version
 from repro.cli import (
     _audit,
@@ -29,13 +20,19 @@ from repro.cli import (
     _telemetry,
     _tools,
 )
-from repro.cli._common import (
+from repro.core.telemetry import RecentEventsObserver
+from repro.errors import (
     EXIT_CONFIG,
     EXIT_CRASH,
-    EXIT_FAULTS,
     EXIT_FAILURE,
+    EXIT_FAULTS,
     EXIT_INTERRUPTED,
     EXIT_INVARIANT,
+    CampaignInterrupted,
+    ConfigurationError,
+    InvariantViolation,
+    QuarantineExhaustedError,
+    ReproError,
 )
 
 

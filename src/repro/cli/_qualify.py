@@ -2,18 +2,8 @@
 
 from __future__ import annotations
 
-from repro.core.engine import make_executor
-from repro.core.qualify import (
-    QualificationCheckpoint,
-    QualifyConfig,
-    StressmarkQualifier,
-)
-from repro.core.telemetry import TelemetryCollector
-from repro.isa.opcodes import default_table
-from repro.workloads.stressmarks import CANNED_STRESSMARKS
-
+from repro.cli import _common
 from repro.cli._common import (
-    EXIT_OK,
     _add_registry_args,
     _add_telemetry_args,
     _observers,
@@ -21,15 +11,27 @@ from repro.cli._common import (
     _publish_record,
     _tracing_scope,
 )
+from repro.core.telemetry import TelemetryCollector
+from repro.errors import EXIT_OK
+from repro.workloads.stressmarks import (
+    CANNED_STRESSMARKS,
+    canned_stressmark,
+    stressmark_program,
+)
+
 
 def cmd_qualify(args) -> int:
     """Qualify one canned stressmark: perturbation sweep + verdict."""
-    from repro.cli import _platform
+    from repro.core.engine import make_executor
+    from repro.core.qualify import (
+        QualificationCheckpoint,
+        QualifyConfig,
+        StressmarkQualifier,
+    )
+    from repro.isa.opcodes import default_table
 
-    platform = _platform(args.chip)
+    platform = _common._platform(args.chip)
     pool = default_table().supported_on(platform.chip.extensions)
-    from repro.workloads.stressmarks import canned_stressmark, stressmark_program
-
     program = stressmark_program(canned_stressmark(args.stressmark, pool))
     config = QualifyConfig(
         seed=args.seed,
@@ -66,11 +68,8 @@ def cmd_qualify(args) -> int:
           f"{report.evaluations} evaluations, "
           f"{report.cache_hits} cache hits, {report.wall_s:.1f}s)")
     if args.registry is not None:
-        from repro.registry import (
-            platform_descriptor,
-            provenance_stamp,
-            record_from_qualification,
-        )
+        from repro.registry.provenance import platform_descriptor, provenance_stamp
+        from repro.registry.record import record_from_qualification
 
         record = record_from_qualification(
             report,

@@ -5,9 +5,8 @@ from __future__ import annotations
 import json
 
 from repro.analysis.report import format_table
-from repro.errors import EXIT_FAILURE, EXIT_OK, RegistryError
-
 from repro.cli._common import _observers
+from repro.errors import EXIT_FAILURE, EXIT_OK, RegistryError
 
 _COMPARE_HELP = (
     "a record id (or unique prefix), or campaign:LABEL for a whole campaign"
@@ -15,7 +14,7 @@ _COMPARE_HELP = (
 
 
 def _registry(args, observers=()):
-    from repro.registry import StressmarkRegistry
+    from repro.registry.store import StressmarkRegistry
 
     return StressmarkRegistry(args.dir, observers=observers)
 
@@ -87,7 +86,7 @@ def cmd_registry_verify(args) -> int:
     observers, jsonl = _observers(args)
     registry = _registry(args, observers)
     try:
-        from repro.registry import verify_record
+        from repro.registry.verify import verify_record
 
         record = registry.get(args.ref)
         print(f"verifying {record.record_id[:12]} ({record.kind}/{record.name}, "
@@ -102,7 +101,7 @@ def cmd_registry_verify(args) -> int:
 
 
 def cmd_registry_compare(args) -> int:
-    from repro.registry import (
+    from repro.registry.compare import (
         compare_campaigns,
         compare_records,
         render_campaign_comparison,
@@ -133,7 +132,7 @@ def cmd_registry_export(args) -> int:
     observers, jsonl = _observers(args)
     registry = _registry(args, observers)
     try:
-        from repro.registry import export_records
+        from repro.registry.archive import export_records
 
         exported = export_records(
             registry, args.out, refs=args.id or None, observers=observers,
@@ -149,7 +148,7 @@ def cmd_registry_import(args) -> int:
     observers, jsonl = _observers(args)
     registry = _registry(args, observers)
     try:
-        from repro.registry import import_archive
+        from repro.registry.archive import import_archive
 
         outcome = import_archive(registry, args.archive, observers=observers)
     finally:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.cli._common import EXIT_FAILURE, EXIT_OK
-from repro.obs import analyze_trace, compare_traces, render_analysis, render_markdown
+from repro.errors import EXIT_FAILURE, EXIT_OK
+from repro.obs.trace import analyze_trace, compare_traces, render_analysis, render_markdown
 
 
 def cmd_telemetry_analyze(args) -> int:

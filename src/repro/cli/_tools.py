@@ -3,25 +3,21 @@
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.core.audit import AuditConfig, AuditRunner
-from repro.core.engine import make_executor
-from repro.core.ga import GaConfig
-from repro.core.resonance import find_resonance
-from repro.core.telemetry import TelemetryCollector
-from repro.isa.opcodes import default_table
-
+from repro.cli import _common
 from repro.cli._common import (
     _add_telemetry_args,
     _observers,
     _platform_factory,
     _tracing_scope,
 )
+from repro.core.telemetry import TelemetryCollector
 
 
 def cmd_sweep(args) -> int:
-    from repro.cli import _platform
+    from repro.core.resonance import find_resonance
+    from repro.isa.opcodes import default_table
 
-    platform = _platform(args.chip)
+    platform = _common._platform(args.chip)
     sweep = find_resonance(platform, default_table(), threads=1,
                            period_candidates=list(range(8, 133, 4)))
     rows = [
@@ -43,9 +39,11 @@ def cmd_bench_evals(args) -> int:
     simulator vs. PDN-solve time split) so evaluation-path regressions are
     observable from the command line.
     """
-    from repro.cli import _platform
+    from repro.core.audit import AuditConfig, AuditRunner
+    from repro.core.engine import make_executor
+    from repro.core.ga import GaConfig
 
-    platform = _platform(args.chip)
+    platform = _common._platform(args.chip)
     observers, jsonl = _observers(args)
     collector = TelemetryCollector()
     observers.append(collector)
@@ -79,11 +77,11 @@ def cmd_bench_evals(args) -> int:
 
 
 def cmd_netlist(args) -> int:
-    from repro.cli import _platform
+    from repro.isa.opcodes import default_table
     from repro.pdn.netlist import export_netlist
     from repro.workloads.stressmarks import a_res_canned, stressmark_program
 
-    platform = _platform(args.chip)
+    platform = _common._platform(args.chip)
     pool = default_table().supported_on(platform.chip.extensions)
     program = stressmark_program(a_res_canned(pool))
     measurement = platform.measure_program(program, args.threads)

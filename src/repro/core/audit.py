@@ -273,7 +273,7 @@ class AuditRunner:
         entries never override a resumed checkpoint's own cache.
 
         ``stop`` is a poll callable (typically
-        :meth:`~repro.supervision.ShutdownCoordinator.stop_requested`)
+        :meth:`~repro.supervision.shutdown.ShutdownCoordinator.stop_requested`)
         checked at each generation boundary after its checkpoint lands; a
         non-``None`` reason stops the campaign gracefully by raising
         :class:`~repro.errors.CampaignInterrupted`.

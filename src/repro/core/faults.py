@@ -36,7 +36,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigurationError, InvariantViolation, MeasurementError
+from repro.errors import (
+    ConfigurationError,
+    InvariantViolation,
+    MeasurementError,
+    QuarantineExhaustedError,
+)
 
 #: Valid ``FaultPolicy.on_exhaust`` actions.
 EXHAUST_ACTIONS = ("raise", "skip", "penalize")
@@ -52,15 +57,6 @@ class InjectedHangError(MeasurementError):
 
 class CorruptMeasurementError(MeasurementError):
     """A measurement produced a non-finite fitness value."""
-
-
-class QuarantineExhaustedError(MeasurementError):
-    """A genome's evaluation kept failing and the policy says to raise.
-
-    Always raised ``from`` the last underlying error, so ``__cause__``
-    carries the original fault; the CLI maps this class to its own exit
-    code (fault budget exhausted, as opposed to a single hard error).
-    """
 
 
 # ----------------------------------------------------------------------

@@ -192,7 +192,7 @@ class GeneticAlgorithm(Generic[G]):
         ``stop_fn`` is polled at each generation boundary, *after* that
         boundary's checkpoint has landed; a non-``None`` reason (SIGTERM,
         wall-clock budget — see
-        :class:`~repro.supervision.ShutdownCoordinator`) raises
+        :class:`~repro.supervision.shutdown.ShutdownCoordinator`) raises
         :class:`~repro.errors.CampaignInterrupted`, leaving the freshly
         written checkpoint as the resume point.  The in-flight generation
         is therefore always *finished* before a graceful stop.

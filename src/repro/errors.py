@@ -74,6 +74,15 @@ class InvariantViolation(MeasurementError):
         self.layer = layer
 
 
+class QuarantineExhaustedError(MeasurementError):
+    """A genome's evaluation kept failing and the policy says to raise.
+
+    Always raised ``from`` the last underlying error, so ``__cause__``
+    carries the original fault; the CLI maps this class to its own exit
+    code (fault budget exhausted, as opposed to a single hard error).
+    """
+
+
 class SearchError(ReproError):
     """A GA / AUDIT search was configured or driven incorrectly."""
 

@@ -4,27 +4,3 @@ See DESIGN.md section 4 for the experiment index.  Every module exposes a
 ``run_*`` function returning a typed result and a ``report`` function that
 renders the same rows/series the paper shows.
 """
-
-from repro.experiments.setup import (
-    THREAD_CONFIGS,
-    VCRIT_BASE_V,
-    bulldozer_testbed,
-    failure_model,
-    opcode_pool,
-    phenom_testbed,
-    program_failure_voltage,
-    quick_ga,
-    workload_failure_voltage,
-)
-
-__all__ = [
-    "THREAD_CONFIGS",
-    "VCRIT_BASE_V",
-    "bulldozer_testbed",
-    "failure_model",
-    "opcode_pool",
-    "phenom_testbed",
-    "program_failure_voltage",
-    "quick_ga",
-    "workload_failure_voltage",
-]

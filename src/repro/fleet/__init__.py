@@ -2,41 +2,9 @@
 
 The paper's cross-platform story (Table 3) needs the closed loop re-run
 per chip, PDN variant, thread count, and GA budget.  This package turns
-that portfolio into one declarative :class:`ScenarioMatrix`, runs its
-expansion as resumable shards under :class:`FleetOrchestrator`, and
-aggregates the winners into a deterministic :class:`FleetReport`.
+that portfolio into one declarative
+:class:`~repro.fleet.matrix.ScenarioMatrix`, runs its expansion as
+resumable shards under
+:class:`~repro.fleet.orchestrator.FleetOrchestrator`, and aggregates the
+winners into a deterministic :class:`~repro.fleet.report.FleetReport`.
 """
-
-from repro.fleet.matrix import (
-    Scenario,
-    ScenarioMatrix,
-    load_spec,
-    parse_budget,
-    parse_pdn_label,
-)
-from repro.fleet.orchestrator import FleetOrchestrator, chain_schedule
-from repro.fleet.report import FleetReport, aggregate_exit_code
-from repro.fleet.shard import (
-    ShardResult,
-    ShardSpec,
-    classify_failure,
-    run_shard,
-    scenario_platform,
-)
-
-__all__ = [
-    "FleetOrchestrator",
-    "FleetReport",
-    "Scenario",
-    "ScenarioMatrix",
-    "ShardResult",
-    "ShardSpec",
-    "aggregate_exit_code",
-    "chain_schedule",
-    "classify_failure",
-    "load_spec",
-    "parse_budget",
-    "parse_pdn_label",
-    "run_shard",
-    "scenario_platform",
-]

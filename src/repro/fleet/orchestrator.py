@@ -566,7 +566,9 @@ class FleetOrchestrator:
         """
         if self.registry_dir is None:
             return []
-        from repro.registry import StressmarkRegistry, provenance_stamp, record_from_shard
+        from repro.registry.provenance import provenance_stamp
+        from repro.registry.record import record_from_shard
+        from repro.registry.store import StressmarkRegistry
 
         registry = StressmarkRegistry(self.registry_dir, observers=self.observers)
         stamp = provenance_stamp(

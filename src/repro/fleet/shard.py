@@ -16,7 +16,7 @@ with a ``crash_report.json`` written next to the shard checkpoint for the
 unexpected ones — so one bad scenario cannot take the fleet down.
 
 Each shard also installs its own worker-side
-:class:`~repro.supervision.ShutdownCoordinator` for SIGTERM, so a fleet
+:class:`~repro.supervision.shutdown.ShutdownCoordinator` for SIGTERM, so a fleet
 host draining its workers gets a final campaign checkpoint from every
 shard instead of half-written state: the shard reports ``interrupted``
 (exit 75), keeps its ``result.json`` unwritten, and resumes from the
@@ -41,7 +41,7 @@ from repro.core.checkpoint import (
     decode_stressmark_genome,
     encode_stressmark_genome,
 )
-from repro.core.faults import FaultPolicy, QuarantineExhaustedError
+from repro.core.faults import FaultPolicy
 from repro.core.ga import GaConfig
 from repro.core.platform import MeasurementPlatform
 from repro.core.qualify import QualificationCheckpoint, QualifyConfig
@@ -57,13 +57,14 @@ from repro.errors import (
     CampaignInterrupted,
     ConfigurationError,
     InvariantViolation,
+    QuarantineExhaustedError,
     ReproError,
 )
 from repro.experiments.setup import program_failure_voltage
 from repro.fleet.matrix import Scenario
 from repro.obs.spans import SpanBuffer, TraceContext, adopt, span, tracing
 from repro.pdn.elements import PdnParameters
-from repro.supervision import ShutdownCoordinator
+from repro.supervision.shutdown import ShutdownCoordinator
 from repro.uarch.config import ChipConfig
 
 RESULT_FILE = "result.json"

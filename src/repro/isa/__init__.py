@@ -10,78 +10,3 @@ Public surface:
   — stressmark loop structure (HP sub-blocks + LP NOPs).
 * :func:`~repro.isa.encoder.encode_program` — NASM source emission.
 """
-
-from repro.isa.data_patterns import (
-    DATA_SWING,
-    DataPattern,
-    checkerboard_values,
-    toggle_factor,
-)
-from repro.isa.encoder import encode_kernel_listing, encode_program
-from repro.isa.instruction import (
-    Instruction,
-    make_chain,
-    make_independent,
-    make_instruction,
-    nop,
-    used_registers,
-)
-from repro.isa.kernels import (
-    LoopKernel,
-    ThreadProgram,
-    build_kernel,
-    nop_region,
-    replicate_subblock,
-    with_data_pattern,
-)
-from repro.isa.opcodes import (
-    DEFAULT_OPCODES,
-    FP_CLASSES,
-    IClass,
-    OpcodeSpec,
-    OpcodeTable,
-    Unit,
-    default_table,
-)
-from repro.isa.registers import (
-    GPRS,
-    XMMS,
-    Register,
-    RegClass,
-    RegisterAllocator,
-    register_pool,
-)
-
-__all__ = [
-    "DATA_SWING",
-    "DEFAULT_OPCODES",
-    "FP_CLASSES",
-    "DataPattern",
-    "GPRS",
-    "IClass",
-    "Instruction",
-    "LoopKernel",
-    "OpcodeSpec",
-    "OpcodeTable",
-    "RegClass",
-    "Register",
-    "RegisterAllocator",
-    "ThreadProgram",
-    "Unit",
-    "XMMS",
-    "build_kernel",
-    "checkerboard_values",
-    "default_table",
-    "encode_kernel_listing",
-    "encode_program",
-    "make_chain",
-    "make_independent",
-    "make_instruction",
-    "nop",
-    "nop_region",
-    "register_pool",
-    "replicate_subblock",
-    "toggle_factor",
-    "used_registers",
-    "with_data_pattern",
-]

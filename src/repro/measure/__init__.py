@@ -1,33 +1,1 @@
 """Measurement substrate: scope captures, droop statistics, failure search."""
-
-from repro.measure.droop import (
-    DroopEvent,
-    DroopHistogram,
-    DroopStatistics,
-    droop_events,
-)
-from repro.measure.failure import (
-    FAILURE_STEP_V,
-    FailureModel,
-    voltage_at_failure,
-)
-from repro.measure.oscilloscope import (
-    Oscilloscope,
-    ScopeCapture,
-    dithering_scope,
-    droop_capture_scope,
-)
-
-__all__ = [
-    "FAILURE_STEP_V",
-    "DroopEvent",
-    "DroopHistogram",
-    "DroopStatistics",
-    "FailureModel",
-    "Oscilloscope",
-    "ScopeCapture",
-    "dithering_scope",
-    "droop_capture_scope",
-    "droop_events",
-    "voltage_at_failure",
-]

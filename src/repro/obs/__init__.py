@@ -12,63 +12,8 @@ Three pieces, one spine:
 * :mod:`repro.obs.trace` — JSONL trace → span tree → self-time /
   cache / fault analysis, backing the ``repro telemetry`` CLI group.
 
-Instrumented code calls :func:`repro.obs.span` — a no-op until a
-:class:`Tracer` is installed, so the library stays effectively free when
-nobody is watching (the bench baseline gates the watched overhead ≤3 %).
+Instrumented code calls :func:`repro.obs.spans.span` — a no-op until a
+:class:`~repro.obs.spans.Tracer` is installed, so the library stays
+effectively free when nobody is watching (the bench baseline gates the
+watched overhead ≤3 %).
 """
-
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram, MetricsRegistry
-from repro.obs.spans import (
-    NULL_SPAN,
-    Span,
-    SpanBuffer,
-    TraceContext,
-    TracedTask,
-    Tracer,
-    adopt,
-    current_tracer,
-    install_tracer,
-    new_id,
-    span,
-    tracing,
-)
-from repro.obs.trace import (
-    SpanNode,
-    SpanTree,
-    TraceAnalysis,
-    TraceComparison,
-    analyze_trace,
-    build_tree,
-    compare_traces,
-    load_events,
-    render_analysis,
-    render_markdown,
-)
-
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "Span",
-    "SpanBuffer",
-    "SpanNode",
-    "SpanTree",
-    "TraceAnalysis",
-    "TraceComparison",
-    "TraceContext",
-    "TracedTask",
-    "Tracer",
-    "adopt",
-    "analyze_trace",
-    "build_tree",
-    "compare_traces",
-    "current_tracer",
-    "install_tracer",
-    "load_events",
-    "new_id",
-    "render_analysis",
-    "render_markdown",
-    "span",
-    "tracing",
-]

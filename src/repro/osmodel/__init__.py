@@ -1,16 +1,1 @@
 """Operating-system interference substrate: ticks, jitter, placement."""
-
-from repro.osmodel.affinity import packed_placement, spread_placement
-from repro.osmodel.scheduler import (
-    WINDOWS_TICK_S,
-    OsInterferenceModel,
-    TickPhases,
-)
-
-__all__ = [
-    "OsInterferenceModel",
-    "TickPhases",
-    "WINDOWS_TICK_S",
-    "packed_placement",
-    "spread_placement",
-]

@@ -5,30 +5,3 @@ L-C interactions produce the first/second/third droop resonances.  This
 package provides the parameter presets, the state-space network, an
 HSPICE-equivalent transient solver, and frequency-domain resonance analysis.
 """
-
-from repro.pdn.elements import LadderStage, PdnParameters, bulldozer_pdn, phenom_pdn
-from repro.pdn.impedance import (
-    ImpedanceSweep,
-    Resonance,
-    first_droop_frequency,
-    sweep_impedance,
-)
-from repro.pdn.netlist import export_netlist, parse_netlist_elements
-from repro.pdn.network import PdnNetwork
-from repro.pdn.transient import TransientSolver, VoltageTrace
-
-__all__ = [
-    "ImpedanceSweep",
-    "LadderStage",
-    "PdnNetwork",
-    "PdnParameters",
-    "Resonance",
-    "TransientSolver",
-    "VoltageTrace",
-    "bulldozer_pdn",
-    "export_netlist",
-    "first_droop_frequency",
-    "parse_netlist_elements",
-    "phenom_pdn",
-    "sweep_impedance",
-]

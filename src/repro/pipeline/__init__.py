@@ -5,39 +5,3 @@ See :mod:`repro.pipeline.artifacts` for the typed artifacts,
 :mod:`repro.pipeline.pipeline` for the orchestrator (the default
 measurement backend).
 """
-
-from repro.pipeline.artifacts import (
-    ActivityProfile,
-    CompiledProgram,
-    Measurement,
-    MeasureRequest,
-    ModuleActivity,
-    PdnResponse,
-    artifact_key,
-)
-from repro.pipeline.cache import StageCache
-from repro.pipeline.pipeline import MeasurementPipeline
-from repro.pipeline.stages import (
-    ActivityStage,
-    AnalyzeStage,
-    CompileStage,
-    PdnStage,
-    Stage,
-)
-
-__all__ = [
-    "ActivityProfile",
-    "ActivityStage",
-    "AnalyzeStage",
-    "CompileStage",
-    "CompiledProgram",
-    "Measurement",
-    "MeasureRequest",
-    "MeasurementPipeline",
-    "ModuleActivity",
-    "PdnResponse",
-    "PdnStage",
-    "Stage",
-    "StageCache",
-    "artifact_key",
-]

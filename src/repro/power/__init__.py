@@ -1,13 +1,1 @@
 """Power substrate: per-cycle energy → load-current waveforms."""
-
-from repro.power.energy import EnergyModel, PowerParameters
-from repro.power.trace import CurrentTrace, square_wave, step_load, sum_traces
-
-__all__ = [
-    "CurrentTrace",
-    "EnergyModel",
-    "PowerParameters",
-    "square_wave",
-    "step_load",
-    "sum_traces",
-]

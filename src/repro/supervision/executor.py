@@ -51,9 +51,8 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.core.faults import QuarantineExhaustedError
 from repro.core.telemetry import RunObserver, SupervisorEvent, notify
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, QuarantineExhaustedError, ReproError
 
 __all__ = [
     "SupervisedExecutor",
@@ -85,7 +84,7 @@ class SupervisionExhaustedError(ReproError):
 class WorkerHangError(QuarantineExhaustedError):
     """An evaluation blew its hard deadline and its worker was killed.
 
-    Subclasses :class:`~repro.core.faults.QuarantineExhaustedError` so a
+    Subclasses :class:`~repro.errors.QuarantineExhaustedError` so a
     hang surfaced with ``on_exhaust="raise"`` (or with no fault policy at
     all) classifies as a fault-budget failure (exit code 3).
     """

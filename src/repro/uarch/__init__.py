@@ -1,30 +1,1 @@
 """Machine-model substrate: multi-module chips with shared-resource pipelines."""
-
-from repro.uarch.caches import CacheHierarchy, CacheLevel, CacheLevelSpec
-from repro.uarch.chip import ChipSimulator
-from repro.uarch.config import (
-    DECODE_ENERGY_PJ,
-    ChipConfig,
-    CoreConfig,
-    ModuleConfig,
-    bulldozer_chip,
-    phenom_chip,
-)
-from repro.uarch.module import LOOP_CLOSE_SPEC, ModuleSimulator, ModuleStats, ModuleTrace
-
-__all__ = [
-    "CacheHierarchy",
-    "CacheLevel",
-    "CacheLevelSpec",
-    "ChipConfig",
-    "ChipSimulator",
-    "CoreConfig",
-    "DECODE_ENERGY_PJ",
-    "LOOP_CLOSE_SPEC",
-    "ModuleConfig",
-    "ModuleSimulator",
-    "ModuleStats",
-    "ModuleTrace",
-    "bulldozer_chip",
-    "phenom_chip",
-]

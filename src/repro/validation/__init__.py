@@ -7,23 +7,3 @@ numerics into a structured :class:`~repro.errors.InvariantViolation`
 (routed through the fault policy) instead of letting NaN/Inf or truncated
 traces score as fitness.
 """
-
-from repro.validation.invariants import (
-    GUARD_CATALOG,
-    check_current_samples,
-    check_measurement,
-    check_module_trace,
-    check_sensitivity,
-    check_time_axis,
-    check_voltage_samples,
-)
-
-__all__ = [
-    "GUARD_CATALOG",
-    "check_current_samples",
-    "check_measurement",
-    "check_module_trace",
-    "check_sensitivity",
-    "check_time_axis",
-    "check_voltage_samples",
-]

@@ -1,43 +1,1 @@
 """Workload substrate: manual stressmarks and synthetic benchmark suites."""
-
-from repro.workloads.parsec import (
-    DEFAULT_BARRIER_SKEW_CYCLES,
-    PARSEC_MODELS,
-    parsec_model,
-    parsec_names,
-)
-from repro.workloads.phases import ENERGY_PER_SLOT_PJ, ActivityModel
-from repro.workloads.runner import DEFAULT_DURATION_CYCLES, run_workload
-from repro.workloads.spec import SPEC_MODELS, spec_model, spec_names
-from repro.workloads.stressmarks import (
-    STRESSMARK_ITERATIONS,
-    a_ex_canned,
-    a_res_canned,
-    joseph_brooks,
-    sm1,
-    sm2,
-    sm_res,
-    stressmark_program,
-)
-
-__all__ = [
-    "ActivityModel",
-    "DEFAULT_BARRIER_SKEW_CYCLES",
-    "DEFAULT_DURATION_CYCLES",
-    "ENERGY_PER_SLOT_PJ",
-    "PARSEC_MODELS",
-    "SPEC_MODELS",
-    "STRESSMARK_ITERATIONS",
-    "a_ex_canned",
-    "a_res_canned",
-    "joseph_brooks",
-    "parsec_model",
-    "parsec_names",
-    "run_workload",
-    "sm1",
-    "sm2",
-    "sm_res",
-    "spec_model",
-    "spec_names",
-    "stressmark_program",
-]

@@ -16,7 +16,7 @@ pipeline architecture."  We encode that knowledge directly:
   benchmarks, yet it fails at a much higher voltage (Section V.A.4).
 * ``a_res_canned`` / ``a_ex_canned`` — frozen, representative AUDIT outputs
   (int+FP mix with sprinkled NOPs) for tests and examples that must not pay
-  for a GA run.  The real thing comes from :class:`repro.core.AuditRunner`.
+  for a GA run.  The real thing comes from :class:`repro.core.audit.AuditRunner`.
 
 All factories take the resonant period so they can be retuned per testbed —
 exactly what the human expert would have to redo by hand.

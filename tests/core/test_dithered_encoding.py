@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.dithering import DitherSchedule, dither_schedules, encode_dithered_program
 from repro.errors import SearchError
-from repro.isa import default_table
+from repro.isa.opcodes import default_table
 from repro.workloads.stressmarks import sm_res, stressmark_program
 
 TABLE = default_table()

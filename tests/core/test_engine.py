@@ -13,7 +13,6 @@ from repro.core.engine import (
     StressmarkFitness,
     make_executor,
 )
-from repro.supervision import SupervisedExecutor
 from repro.core.genome import GenomeSpace
 from repro.core.platform import Measurement, MeasurementPlatform
 from repro.core.telemetry import (
@@ -29,6 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.pdn.elements import bulldozer_pdn
 from repro.pdn.transient import VoltageTrace
 from repro.power.trace import CurrentTrace
+from repro.supervision.executor import SupervisedExecutor
 from repro.uarch.config import bulldozer_chip
 
 TABLE = default_table()

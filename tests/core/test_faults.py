@@ -12,7 +12,6 @@ from repro.core.faults import (
     FaultRecord,
     GuardedFitness,
     InjectedFaultError,
-    QuarantineExhaustedError,
     RetryingMeasurements,
     fault_record_from,
 )
@@ -20,10 +19,15 @@ from repro.core.ga import GaConfig
 from repro.core.genome import GenomeSpace
 from repro.core.platform import MeasurementPlatform
 from repro.core.telemetry import FaultEvent, TelemetryCollector
-from repro.errors import ConfigurationError, InvariantViolation, MeasurementError
+from repro.errors import (
+    ConfigurationError,
+    InvariantViolation,
+    MeasurementError,
+    QuarantineExhaustedError,
+)
 from repro.experiments.setup import bulldozer_testbed
 from repro.isa.opcodes import default_table
-from repro.pipeline import MeasureRequest
+from repro.pipeline.artifacts import MeasureRequest
 
 TABLE = default_table()
 

@@ -11,7 +11,7 @@ from repro.core.ga import GaConfig, GeneticAlgorithm
 from repro.core.genome import GenomeSpace, StressmarkGenome
 from repro.errors import SearchError
 from repro.isa.opcodes import default_table
-from repro.supervision import SupervisedExecutor
+from repro.supervision.executor import SupervisedExecutor
 
 TABLE = default_table()
 

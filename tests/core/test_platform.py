@@ -6,7 +6,10 @@ import pytest
 from repro.core.platform import Measurement, MeasurementPlatform
 from repro.core.resonance import probe_program
 from repro.errors import ConfigurationError, MeasurementError
-from repro.isa import RegisterAllocator, ThreadProgram, build_kernel, default_table, make_instruction
+from repro.isa.instruction import make_instruction
+from repro.isa.kernels import ThreadProgram, build_kernel
+from repro.isa.opcodes import default_table
+from repro.isa.registers import RegisterAllocator
 from repro.pdn.elements import bulldozer_pdn
 from repro.power.trace import CurrentTrace
 from repro.uarch.config import bulldozer_chip

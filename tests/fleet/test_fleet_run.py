@@ -18,7 +18,8 @@ from repro.errors import (
     EXIT_OK,
     CheckpointError,
 )
-from repro.fleet import FleetOrchestrator, ScenarioMatrix
+from repro.fleet.matrix import ScenarioMatrix
+from repro.fleet.orchestrator import FleetOrchestrator
 from repro.fleet.report import REPORT_FILE, REPORT_MD_FILE
 
 #: One chain of three same-platform shards (cache seeding active) — small

@@ -12,9 +12,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro import registry
 from repro.cli import main
 from repro.pdn import transient
+from repro.registry import record as registry
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 

@@ -19,7 +19,7 @@ from repro.errors import (
 from repro.fleet.matrix import ScenarioMatrix
 from repro.fleet.orchestrator import FleetOrchestrator
 from repro.fleet.shard import ShardResult, classify_failure
-from repro.supervision import SupervisionExhaustedError
+from repro.supervision.executor import SupervisionExhaustedError
 
 
 def two_seed_matrix():

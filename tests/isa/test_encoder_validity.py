@@ -14,14 +14,10 @@ from hypothesis import strategies as st
 
 from repro.core.codegen import genome_to_program
 from repro.core.genome import GenomeSpace
-from repro.isa import (
-    ThreadProgram,
-    default_table,
-    encode_program,
-    make_chain,
-    make_independent,
-)
-from repro.isa.kernels import LoopKernel, nop_region
+from repro.isa.encoder import encode_program
+from repro.isa.instruction import make_chain, make_independent
+from repro.isa.kernels import LoopKernel, ThreadProgram, nop_region
+from repro.isa.opcodes import default_table
 from repro.workloads.stressmarks import (
     a_ex_canned,
     a_res_canned,

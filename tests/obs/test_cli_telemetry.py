@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import main
+from repro.cli._main import build_parser
 
 AUDIT = ["audit", "--threads", "2", "--population", "6",
          "--generations", "2", "--seed", "1"]
@@ -60,7 +61,7 @@ class TestAnalyze:
         assert "pipeline.measure" in out
 
     def test_no_orphaned_or_lost_spans_in_a_clean_run(self, trace):
-        from repro.obs import analyze_trace
+        from repro.obs.trace import analyze_trace
 
         analysis = analyze_trace(trace)
         assert len(analysis.tree.roots) == 1
@@ -150,7 +151,7 @@ class TestAuditTelemetrySummary:
 class TestBenchEvalsTrace:
     def test_bench_evals_writes_one_clean_campaign_tree(self, tmp_path,
                                                         capsys):
-        from repro.obs import analyze_trace
+        from repro.obs.trace import analyze_trace
 
         path = tmp_path / "bench.jsonl"
         assert main(["bench-evals", "--threads", "2", "--population", "4",

@@ -22,8 +22,8 @@ from repro.core.ga import GaConfig
 from repro.core.platform import MeasurementPlatform
 from repro.core.telemetry import JsonlObserver, SpanEvent, TelemetryCollector
 from repro.experiments.setup import bulldozer_testbed
-from repro.obs import Tracer, analyze_trace, build_tree, tracing
-from repro.obs.spans import SpanBuffer
+from repro.obs.spans import SpanBuffer, Tracer, tracing
+from repro.obs.trace import analyze_trace, build_tree
 
 #: Hash-targeted hard-fault rates: deterministic per genome, so a given
 #: seed yields the same chaos schedule in every run and on every respawn.
@@ -99,7 +99,7 @@ class TestChaosCampaignTrace:
         jsonl = JsonlObserver(trace_path, flush_every=16)
         observers = [collector, jsonl]
         tracer = Tracer(observers)
-        from repro.supervision import SupervisedExecutor
+        from repro.supervision.executor import SupervisedExecutor
 
         executor = SupervisedExecutor(
             2,

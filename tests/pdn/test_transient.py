@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PdnError
@@ -141,6 +141,35 @@ class TestDroopPhysics:
         period = square_wave(40, 5, h, resonant_period - h, 1, DT)
         ss = solver.steady_state_periodic(period, vdd=VDD)
         long = solver.simulate(period.tile(3000), vdd=VDD, baseline_current_a=period.mean_a)
+        late_min = long.samples[len(long.samples) // 2 :].min()
+        assert ss.min_v == pytest.approx(late_min, abs=2e-3)
+
+    # Loop periods, chip currents and HP duty as the pipeline's periodic
+    # solves see them (bulldozer and phenom campaigns: 8-288 cycles,
+    # 7.8-45 A, duty 0.08-0.95).
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="steady_state_periodic evaluates the continuous-time H(f) at the "
+        "harmonics, simulate filters a zero-order hold: loops shorter than ~24 "
+        "cycles read up to ~2.6 mV deeper in steady state",
+    )
+    @given(
+        cycles=st.integers(8, 288),
+        low_a=st.floats(5.0, 30.0),
+        swing_a=st.floats(0.5, 40.0),
+        duty=st.floats(0.05, 0.95),
+    )
+    @example(cycles=8, low_a=5.0, swing_a=23.0, duty=0.5)
+    @settings(max_examples=40, deadline=None)
+    def test_periodic_loads_match_long_transient(self, solver, cycles, low_a, swing_a, duty):
+        high = min(max(round(duty * cycles), 1), cycles - 1)
+        period = square_wave(low_a + swing_a, low_a, high, cycles - high, 1, DT)
+        ss = solver.steady_state_periodic(period, vdd=VDD)
+        # >= 96k samples (30 us), as many as 3000 tiles of the resonant
+        # period; the second half has settled.
+        tiles = -(-96_000 // cycles)
+        long = solver.simulate(period.tile(tiles), vdd=VDD, baseline_current_a=period.mean_a)
         late_min = long.samples[len(long.samples) // 2 :].min()
         assert ss.min_v == pytest.approx(late_min, abs=2e-3)
 

@@ -19,9 +19,9 @@ from repro.core.genome import GenomeSpace
 from repro.core.platform import MeasurementPlatform
 from repro.core.resonance import probe_program
 from repro.experiments.setup import bulldozer_chip, bulldozer_pdn
-from repro.isa import default_table
+from repro.isa.opcodes import default_table
 from repro.obs.spans import SpanBuffer, Tracer, tracing
-from repro.pipeline import MeasureRequest
+from repro.pipeline.artifacts import MeasureRequest
 
 TABLE = default_table()
 SPACE = GenomeSpace(table=TABLE, slots=8, replications=2,

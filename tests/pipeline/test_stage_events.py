@@ -9,13 +9,10 @@ from repro.core.platform import MeasurementPlatform
 from repro.core.resonance import probe_program
 from repro.core.telemetry import SpanEvent, TelemetryCollector
 from repro.experiments.setup import bulldozer_chip, bulldozer_pdn
-from repro.isa import (
-    RegisterAllocator,
-    ThreadProgram,
-    build_kernel,
-    default_table,
-    make_instruction,
-)
+from repro.isa.instruction import make_instruction
+from repro.isa.kernels import ThreadProgram, build_kernel
+from repro.isa.opcodes import default_table
+from repro.isa.registers import RegisterAllocator
 from repro.obs.spans import Tracer, tracing
 from repro.pipeline.artifacts import MeasureRequest
 

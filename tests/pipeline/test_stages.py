@@ -7,25 +7,21 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, MeasurementError
 from repro.experiments.setup import bulldozer_chip, bulldozer_pdn
+from repro.isa.instruction import make_instruction
+from repro.isa.kernels import ThreadProgram, build_kernel
+from repro.isa.opcodes import default_table
+from repro.isa.registers import RegisterAllocator
 from repro.obs.metrics import MetricsRegistry
-from repro.isa import (
-    RegisterAllocator,
-    ThreadProgram,
-    build_kernel,
-    default_table,
-    make_instruction,
-)
-from repro.pipeline import (
+from repro.pipeline.artifacts import (
     ActivityProfile,
-    ActivityStage,
     CompiledProgram,
-    CompileStage,
-    MeasurementPipeline,
     MeasureRequest,
     PdnResponse,
-    StageCache,
     artifact_key,
 )
+from repro.pipeline.cache import StageCache
+from repro.pipeline.pipeline import MeasurementPipeline
+from repro.pipeline.stages import ActivityStage, CompileStage
 
 TABLE = default_table()
 

@@ -8,12 +8,8 @@ from repro.core.audit import AuditConfig, AuditRunner
 from repro.core.ga import GaConfig
 from repro.core.platform import MeasurementPlatform
 from repro.pdn.elements import bulldozer_pdn
-from repro.registry import (
-    RegistryRecord,
-    platform_descriptor,
-    provenance_stamp,
-    record_from_audit,
-)
+from repro.registry.provenance import platform_descriptor, provenance_stamp
+from repro.registry.record import RegistryRecord, record_from_audit
 from repro.uarch.config import bulldozer_chip
 
 

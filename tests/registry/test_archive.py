@@ -7,7 +7,8 @@ import tarfile
 import pytest
 
 from repro.errors import RegistryError
-from repro.registry import StressmarkRegistry, export_records, import_archive
+from repro.registry.archive import export_records, import_archive
+from repro.registry.store import StressmarkRegistry
 
 from tests.registry.conftest import synthetic_record
 

@@ -7,7 +7,8 @@ import pytest
 from repro import package_version
 from repro.cli import main
 from repro.errors import EXIT_FAILURE, EXIT_OK
-from repro.registry import StressmarkRegistry, hash_platform
+from repro.registry.provenance import hash_platform
+from repro.registry.store import StressmarkRegistry
 
 from tests.registry.conftest import synthetic_record
 
@@ -43,7 +44,7 @@ class TestVersion:
         def explode(*_args, **_kwargs):
             raise RuntimeError("simulated meltdown")
 
-        monkeypatch.setattr("repro.cli._platform", explode)
+        monkeypatch.setattr("repro.cli._common._platform", explode)
         assert main(["sweep"]) == 70
         capsys.readouterr()
         report = json.loads((tmp_path / "crash_report.json").read_text())
@@ -119,7 +120,7 @@ class TestRegistryCommands:
         assert "bit-identically" in capsys.readouterr().out
 
     def test_verify_detects_forged_droop(self, tmp_path, capsys):
-        from repro.registry import build_platform, platform_descriptor
+        from repro.registry.provenance import build_platform, platform_descriptor
 
         registry = StressmarkRegistry(tmp_path / "reg")
         descriptor = platform_descriptor("bulldozer")

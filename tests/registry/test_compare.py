@@ -5,13 +5,13 @@ import dataclasses
 import pytest
 
 from repro.errors import RegistryError
-from repro.registry import (
-    StressmarkRegistry,
+from repro.registry.compare import (
     compare_campaigns,
     compare_records,
     render_campaign_comparison,
     render_record_comparison,
 )
+from repro.registry.store import StressmarkRegistry
 
 from tests.registry.conftest import synthetic_record
 

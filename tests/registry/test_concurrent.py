@@ -5,14 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.registry import StressmarkRegistry
+from repro.registry.store import StressmarkRegistry
 
 #: Runs in a subprocess: publish COUNT synthetic records, offset by START
 #: so the two writers interleave distinct ids plus a shared overlap band.
 _WORKER = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.registry import RegistryRecord, StressmarkRegistry, platform_descriptor
+from repro.registry.provenance import platform_descriptor
+from repro.registry.record import RegistryRecord
+from repro.registry.store import StressmarkRegistry
 
 registry = StressmarkRegistry({directory!r})
 start, count = {start}, {count}

@@ -8,7 +8,7 @@ import pytest
 
 from repro import package_version
 from repro.errors import RegistryError
-from repro.registry import (
+from repro.registry.provenance import (
     build_platform,
     hash_config,
     hash_platform,
@@ -68,8 +68,8 @@ class TestHashStability:
         local = hash_platform(build_platform(platform_descriptor("bulldozer")))
         code = (
             "import sys; sys.path.insert(0, {src!r})\n"
-            "from repro.registry import (build_platform, hash_platform, "
-            "platform_descriptor)\n"
+            "from repro.registry.provenance import (build_platform, "
+            "hash_platform, platform_descriptor)\n"
             "print(hash_platform(build_platform("
             "platform_descriptor('bulldozer'))))"
         ).format(src=SRC)

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import RegistryError
-from repro.registry import RECORD_VERSION, RegistryRecord
+from repro.registry.record import RECORD_VERSION, RegistryRecord
 
 from tests.registry.conftest import synthetic_record, with_provenance
 

@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.telemetry import RecentEventsObserver
 from repro.errors import RegistryError
-from repro.registry import StressmarkRegistry
-from repro.registry.store import MIN_REF_LENGTH, REGISTRY_VERSION
+from repro.registry.store import MIN_REF_LENGTH, REGISTRY_VERSION, StressmarkRegistry
 from repro.supervision.chaos import (
     bitflip_file,
     inject_write_failures,

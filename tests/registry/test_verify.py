@@ -8,14 +8,9 @@ import pytest
 from repro.core.qualify import QualifyConfig, StressmarkQualifier
 from repro.errors import RegistryError
 from repro.isa.opcodes import default_table
-from repro.registry import (
-    RegistryRecord,
-    platform_descriptor,
-    rebuild_program,
-    record_from_qualification,
-    verify_record,
-)
-from repro.registry.verify import VerifyResult
+from repro.registry.provenance import platform_descriptor
+from repro.registry.record import RegistryRecord, record_from_qualification
+from repro.registry.verify import VerifyResult, rebuild_program, verify_record
 from repro.workloads.stressmarks import canned_stressmark, stressmark_program
 
 
@@ -107,7 +102,7 @@ class TestThrottledDescriptor:
     def test_throttled_platform_round_trips(self):
         """A record published from a throttled testbed rebuilds and
         re-measures identically (the audit CLI's --throttle path)."""
-        from repro.registry import build_platform, hash_platform
+        from repro.registry.provenance import build_platform, hash_platform
 
         descriptor = platform_descriptor("bulldozer", throttle=1)
         platform = build_platform(descriptor)

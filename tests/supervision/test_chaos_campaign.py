@@ -15,7 +15,7 @@ from repro.core.ga import GaConfig
 from repro.core.platform import MeasurementPlatform
 from repro.core.telemetry import TelemetryCollector
 from repro.experiments.setup import bulldozer_testbed
-from repro.supervision import SupervisedExecutor
+from repro.supervision.executor import SupervisedExecutor
 
 #: Hash-targeted hard-fault rates: deterministic per genome, so a given
 #: seed yields the same chaos schedule in every run and on every respawn.

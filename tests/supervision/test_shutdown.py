@@ -8,7 +8,7 @@ import pytest
 from repro.cli._main import main
 from repro.core.telemetry import TelemetryCollector
 from repro.errors import EXIT_INTERRUPTED, ConfigurationError
-from repro.supervision import ShutdownCoordinator
+from repro.supervision.shutdown import ShutdownCoordinator
 
 
 class TestShutdownCoordinator:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.telemetry import TelemetryCollector
 from repro.errors import ConfigurationError
-from repro.supervision import (
+from repro.supervision.executor import (
     SupervisedExecutor,
     SupervisionExhaustedError,
     SupervisorFault,

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import main
+from repro.cli._experiments import EXPERIMENTS
+from repro.cli._main import build_parser
 
 
 class TestParser:
@@ -154,7 +156,7 @@ class TestCampaignFlags:
         assert "quarantined genomes" in out
 
     def test_no_fault_flags_means_no_policy(self):
-        from repro.cli import _fault_policy
+        from repro.cli._common import _fault_policy
 
         args = build_parser().parse_args(["audit"])
         assert _fault_policy(args) is None
@@ -204,13 +206,13 @@ class TestExitCodes:
         assert "configuration error:" in capsys.readouterr().err
 
     def test_fault_exhaustion_exits_3(self, capsys, monkeypatch):
-        from repro.core.faults import QuarantineExhaustedError
+        from repro.errors import QuarantineExhaustedError
 
         def explode(*_args, **_kwargs):
             raise QuarantineExhaustedError(
                 "evaluation failed on all 3 attempts")
 
-        monkeypatch.setattr("repro.cli._platform", explode)
+        monkeypatch.setattr("repro.cli._common._platform", explode)
         assert main(["sweep"]) == 3
         assert "fault policy exhausted:" in capsys.readouterr().err
 
@@ -221,7 +223,7 @@ class TestExitCodes:
             raise InvariantViolation("voltage-finite", "platform",
                                      "NaN at sample 3")
 
-        monkeypatch.setattr("repro.cli._platform", explode)
+        monkeypatch.setattr("repro.cli._common._platform", explode)
         assert main(["sweep"]) == 4
         err = capsys.readouterr().err
         assert "invariant violation:" in err
@@ -233,7 +235,7 @@ class TestExitCodes:
         def explode(*_args, **_kwargs):
             raise RuntimeError("simulated meltdown")
 
-        monkeypatch.setattr("repro.cli._platform", explode)
+        monkeypatch.setattr("repro.cli._common._platform", explode)
         assert main(["sweep"]) == 70
         err = capsys.readouterr().err
         assert "internal error: RuntimeError: simulated meltdown" in err
@@ -255,7 +257,7 @@ class TestExitCodes:
         def explode(*_args, **_kwargs):
             raise RuntimeError("mid-campaign crash")
 
-        monkeypatch.setattr("repro.cli._platform", explode)
+        monkeypatch.setattr("repro.cli._common._platform", explode)
         code = main(["audit", "--checkpoint-dir", str(campaign)])
         assert code == 70
         assert (campaign / "crash_report.json").exists()

@@ -5,9 +5,10 @@ when ``repro`` starts or a platform is built.  Launches that never solve
 (``--version``, registry listings, fleet status, a fleet resume served
 from its bank) and launches whose solves are all periodic (``qualify`` at
 one thread per module, ``registry verify``) must not pay the import; an
-SMT launch, whose jittered solves run in the time domain, does.  Every
-``repro.supervision`` module imports cleanly as the first module of a
-fresh interpreter.
+SMT launch, whose jittered solves run in the time domain, does.
+Parsing arguments loads no numpy: the CLI imports the simulator inside
+the commands that run it.  Every module under ``src/repro`` imports
+cleanly as the first ``repro`` module of a fresh interpreter.
 """
 
 import json
@@ -18,15 +19,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet import FleetOrchestrator, ScenarioMatrix
+from repro.fleet.matrix import ScenarioMatrix
+from repro.fleet.orchestrator import FleetOrchestrator
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MATRIX = ScenarioMatrix(chip=("bulldozer",), threads=(1,), budget=("4x2",), seed=(1,))
 
 
-#: ``python -m repro ARGS``, then report whether ``scipy.signal`` was
-#: imported and the launch's exit status.
+#: ``python -m repro ARGS``, then report the launch's exit status and
+#: every module it imported.
 LAUNCH = """
 import runpy, sys
 status = 0
@@ -34,20 +36,23 @@ try:
     runpy.run_module("repro", run_name="__main__", alter_sys=True)
 except SystemExit as stop:
     status = stop.code or 0
-print("scipy.signal" in sys.modules, status)
+print(status, *sys.modules)
 """
 
+IMPORT_CLI = "import sys, repro.cli; print(0, *sys.modules)"
 
-def loads_signal(*code_and_args) -> bool:
+
+def loads(module, *code_and_args) -> bool:
     """Whether a fresh interpreter running ``python -c *code_and_args``
-    imports ``scipy.signal``; the code prints the answer last."""
+    imports *module*; the code's last line is its exit status, then the
+    names in ``sys.modules``."""
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", *code_and_args],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr[-2000:]
-    loaded, *status = out.stdout.split("\n")[-2].split()
-    assert status in ([], ["0"]), out.stdout[-2000:]
-    return loaded == "True"
+    status, *loaded = out.stdout.split("\n")[-2].split()
+    assert status == "0", out.stdout[-2000:]
+    return module in loaded
 
 
 @pytest.fixture(scope="module")
@@ -61,56 +66,96 @@ def finished_fleet(tmp_path_factory):
 
 class TestLaunchesThatNeverSolve:
     def test_importing_the_cli(self):
-        assert not loads_signal("import sys, repro.cli; print('scipy.signal' in sys.modules)")
+        assert not loads("scipy.signal", IMPORT_CLI)
 
     def test_version(self):
-        assert not loads_signal(LAUNCH, "--version")
+        assert not loads("scipy.signal", LAUNCH, "--version")
 
     def test_registry_list_on_an_empty_registry(self, tmp_path):
-        assert not loads_signal(LAUNCH, "registry", "list", str(tmp_path / "empty"))
+        assert not loads("scipy.signal", LAUNCH, "registry", "list", str(tmp_path / "empty"))
 
     def test_fleet_status_of_a_finished_fleet(self, finished_fleet):
-        assert not loads_signal(LAUNCH, "fleet", "status", str(finished_fleet / "fleet"))
+        assert not loads("scipy.signal", LAUNCH, "fleet", "status", str(finished_fleet / "fleet"))
 
     def test_banked_fleet_resume_with_registry(self, finished_fleet):
-        assert not loads_signal(LAUNCH, "fleet", "run", "--resume",
-                                str(finished_fleet / "fleet"))
+        assert not loads("scipy.signal", LAUNCH, "fleet", "run", "--resume",
+                         str(finished_fleet / "fleet"))
 
     def test_periodic_qualify(self):
-        assert not loads_signal(LAUNCH, "qualify", "a-res", "--threads", "2")
+        assert not loads("scipy.signal", LAUNCH, "qualify", "a-res", "--threads", "2")
 
     def test_registry_verify(self, finished_fleet):
         registry = finished_fleet / "registry"
         record_id = json.loads((registry / "index.jsonl").read_text().splitlines()[0])["record_id"]
-        assert not loads_signal(LAUNCH, "registry", "verify", str(registry), record_id)
+        assert not loads("scipy.signal", LAUNCH, "registry", "verify", str(registry), record_id)
 
     def test_a_launch_that_solves_does_load_it(self):
         # 8T pairs two threads per module: SMT jitter takes the
         # time-domain path.
-        assert loads_signal(LAUNCH, "qualify", "a-res", "--threads", "8")
+        assert loads("scipy.signal", LAUNCH, "qualify", "a-res", "--threads", "8")
 
 
-@pytest.mark.parametrize("module", [
-    "repro.supervision",
-    "repro.supervision.chaos",
-    "repro.supervision.executor",
-    "repro.supervision.shutdown",
-])
-def test_supervision_imports_first_in_a_fresh_interpreter(module):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", f"import {module}"],
-                         capture_output=True, text=True, env=env, timeout=120)
+class TestParsingArgumentsLoadsNoNumpy:
+    def test_importing_the_cli(self):
+        assert not loads("numpy", IMPORT_CLI)
+
+    def test_version(self):
+        assert not loads("numpy", LAUNCH, "--version")
+
+
+#: Runs with numpy preloaded (third-party, so it hides no ``repro``
+#: cycle) and no ``repro`` module: forks once per module named in argv,
+#: imports it in the child, and prints ``{module: error}`` for failures.
+IMPORT_EACH = """
+import importlib, json, os, sys, traceback
+import numpy
+
+failures = {}
+for name in sys.argv[1:]:
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        try:
+            importlib.import_module(name)
+        except BaseException:
+            os.write(write, traceback.format_exc().encode())
+            os._exit(1)
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        error = pipe.read().decode().strip()
+    _pid, status = os.waitpid(pid, 0)
+    if status:
+        failures[name] = error.splitlines()[-1] if error else f"wait status {status}"
+print(json.dumps(failures))
+"""
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    root = Path(SRC)
+    modules = []
+    for path in sorted((root / "repro").rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        modules.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    assert "repro.cli._main" in modules
+    # One BLAS thread, so forking the numpy-loaded parent is safe.
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", IMPORT_EACH, *modules],
+                         capture_output=True, text=True, env=env, timeout=240)
     assert out.returncode == 0, out.stderr[-2000:]
+    assert json.loads(out.stdout.splitlines()[-1]) == {}
 
 
 def test_building_a_platform_resolves_no_solver():
-    assert not loads_signal(
+    assert not loads(
+        "scipy.signal",
         "import sys\n"
         "from repro.experiments.setup import bulldozer_testbed\n"
         "from repro.pdn import transient\n"
         "bulldozer_testbed()\n"
         "assert not transient._SOLVERS, transient._SOLVERS\n"
-        "print('scipy.signal' in sys.modules)"
+        "print(0, *sys.modules)",
     )
 
 

@@ -13,8 +13,8 @@ import numpy as np
 from repro.core.codegen import genome_to_kernel
 from repro.core.genome import GenomeSpace
 from repro.errors import ReproError
-from repro.isa import ThreadProgram, default_table
-from repro.isa.kernels import LoopKernel
+from repro.isa.kernels import LoopKernel, ThreadProgram
+from repro.isa.opcodes import default_table
 from repro.uarch.config import ChipConfig, bulldozer_chip, phenom_chip
 from repro.workloads.stressmarks import CANNED_STRESSMARKS, canned_stressmark
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
-from repro.isa import RegisterAllocator, ThreadProgram, build_kernel, default_table, make_instruction
+from repro.isa.instruction import make_instruction
+from repro.isa.kernels import ThreadProgram, build_kernel
+from repro.isa.opcodes import default_table
+from repro.isa.registers import RegisterAllocator
 from repro.uarch.chip import ChipSimulator
 from repro.uarch.config import bulldozer_chip
 

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import repro.uarch.module as module
 from repro.errors import SchedulingError
-from repro.isa import ThreadProgram, build_kernel, default_table, make_independent
+from repro.isa.instruction import make_independent
+from repro.isa.kernels import ThreadProgram, build_kernel
+from repro.isa.opcodes import default_table
 from repro.uarch.config import bulldozer_chip
 from repro.uarch.module import ModuleSimulator
 from repro.uarch.resources import PerCycleLimiter

@@ -9,14 +9,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
-from repro.isa import (
-    RegisterAllocator,
-    ThreadProgram,
-    build_kernel,
-    default_table,
-    make_instruction,
-    nop,
-)
+from repro.isa.instruction import make_instruction, nop
+from repro.isa.kernels import ThreadProgram, build_kernel
+from repro.isa.opcodes import default_table
+from repro.isa.registers import RegisterAllocator
 from repro.uarch.config import bulldozer_chip, phenom_chip
 from repro.uarch.module import ModuleSimulator
 
@@ -42,7 +38,7 @@ def independent_ops(mnemonic, count):
 
         srcs = tuple(GPRS[-(i + 1)] for i in range(spec.num_sources))
         dests = [GPRS[i % (len(GPRS) - spec.num_sources)] for i in range(count)]
-    from repro.isa import Instruction
+    from repro.isa.instruction import Instruction
 
     return tuple(
         Instruction(spec=spec, dest=d if spec.has_dest else None, sources=srcs)
@@ -94,7 +90,7 @@ class TestBasicExecution:
 
     def test_nop_only_kernel_runs_at_decode_width(self):
         # 16 NOPs + loop close through a 4-wide decoder: >= 4 cycles/iter.
-        from repro.isa import LoopKernel, nop_region
+        from repro.isa.kernels import LoopKernel, nop_region
 
         kernel = LoopKernel(hp=(), lp=nop_region(TABLE.nop, 16))
         trace = run_single(kernel)
@@ -156,7 +152,7 @@ class TestStructuralHazards:
         assert slow > 2 * fast
 
     def test_loop_carried_chain_serialises(self):
-        from repro.isa import make_chain
+        from repro.isa.instruction import make_chain
 
         chain = make_chain(TABLE.get("mulpd"), 6)
         independent = subblock(["mulpd"] * 6)

@@ -16,7 +16,7 @@ from repro.pdn.network import PdnNetwork
 from repro.pdn.transient import TransientSolver, VoltageTrace
 from repro.power.trace import CurrentTrace
 from repro.uarch.module import ModuleTrace
-from repro.validation import (
+from repro.validation.invariants import (
     GUARD_CATALOG,
     check_current_samples,
     check_measurement,

@@ -4,13 +4,13 @@ import pytest
 
 from repro.core.platform import MeasurementPlatform
 from repro.errors import IsaError
-from repro.isa import Instruction, default_table, make_independent
-from repro.isa.kernels import build_kernel
+from repro.isa.instruction import Instruction, make_independent
+from repro.isa.kernels import ThreadProgram, build_kernel
+from repro.isa.opcodes import default_table
 from repro.isa.registers import GPRS
 from repro.pdn.elements import bulldozer_pdn
 from repro.uarch.config import bulldozer_chip
 from repro.uarch.module import ModuleSimulator
-from repro.isa.kernels import ThreadProgram
 from repro.workloads.stressmarks import a_res_canned, joseph_brooks, sm_res, stressmark_program
 
 TABLE = default_table()
