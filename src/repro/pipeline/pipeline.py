@@ -8,8 +8,8 @@ tracer each measurement is a ``pipeline.measure`` span with a
 reason for a transient fallback), and every PDN solve is a
 ``pipeline.pdn_solve`` span.  ``measure(requests)`` is the only entry
 point: it runs compile/activity per request, then groups requests whose
-PDN rows stack into a rectangular matrix and solves each group in a
-single scipy call.
+PDN rows stack into a rectangular matrix and solves each group in one
+batched solver call.
 The pipeline is the default :class:`~repro.core.platform.MeasurementBackend`.
 """
 

@@ -63,6 +63,14 @@ LOOP_CLOSE_SPEC = OpcodeSpec(
 _MAX_CYCLES = 2_000_000
 
 
+def _result_latency(inst: Instruction, caches) -> int:
+    """Cycles from *inst*'s issue until its result is ready."""
+    spec = inst.spec
+    if not spec.memory:
+        return spec.latency
+    return max(spec.latency, caches.load_latency(CacheLevel(inst.memory_level)))
+
+
 class _InFlight:
     """A decoded, not-yet-issued (or executing) instruction."""
 
@@ -255,6 +263,10 @@ class ModuleSimulator:
         )
         energy = np.zeros(capacity)
         sens = np.zeros(capacity)
+        # An issue marks sensitivity up to its result latency past the
+        # cycle, so the buffers stay that far ahead of the clock.
+        caches = self.config.caches
+        reach = max(_result_latency(inst, caches) for t in threads for inst in t.body)
 
         fp_pools = {
             Unit.FPU: UnitPool(module.fp_arith_pipes, "fp-arith"),
@@ -282,7 +294,7 @@ class ModuleSimulator:
         while not all(t.drained for t in threads):
             if cycle >= _MAX_CYCLES:
                 raise SchedulingError("simulation exceeded cycle cap")
-            if cycle >= capacity:
+            while cycle + reach > capacity:
                 energy = np.concatenate([energy, np.zeros(capacity)])
                 sens = np.concatenate([sens, np.zeros(capacity)])
                 capacity *= 2
@@ -429,13 +441,10 @@ class ModuleSimulator:
                     fp_throttle.try_take(cycle)
                 if spec.has_dest:
                     t.result_bus.try_take(cycle)
-                latency = spec.latency
                 extra_energy = 0.0
                 if spec.memory:
-                    level = CacheLevel(inst.memory_level)
-                    latency = max(latency, caches.load_latency(level))
-                    extra_energy = caches.access_energy(level)
-                record.ready_cycle = cycle + latency
+                    extra_energy = caches.access_energy(CacheLevel(inst.memory_level))
+                record.ready_cycle = cycle + _result_latency(inst, caches)
                 exec_energy = spec.energy_pj * toggle_factor(inst.data) + extra_energy
                 energy[cycle] += exec_energy
                 if spec.path_sensitivity > 0:

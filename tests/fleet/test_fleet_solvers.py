@@ -3,7 +3,7 @@ every solve is periodic.
 
 A 1T-per-module fleet scores its shards by periodic steady state, so
 neither the orchestrator nor its shard workers discretise a network or
-import ``scipy.signal``; a fully banked resume builds no solver at all,
+import scipy; a fully banked resume builds no solver at all,
 registry publishing included.
 """
 
@@ -22,7 +22,7 @@ MATRIX = ["--matrix", "pdn=nominal,+10%", "--matrix", "threads=1",
           "--matrix", "budget=4x2", "--matrix", "seed=1"]
 
 #: ``repro ARGS`` in a fresh interpreter.  Each shard worker appends
-#: ``<pid> <scipy.signal loaded?>`` to the log named by ``argv[1]`` after
+#: ``<pid> <scipy loaded?>`` to the log named by ``argv[1]`` after
 #: its shard; the orchestrator prints the same line, then its status.
 FLEET = """
 import os, sys
@@ -34,14 +34,14 @@ run_shard = shard.run_shard
 def probe(spec):
     result = run_shard(spec)
     with open(sys.argv[1], "a") as handle:
-        handle.write(f"{os.getpid()} {'scipy.signal' in sys.modules}\\n")
+        handle.write(f"{os.getpid()} {'scipy' in sys.modules}\\n")
     return result
 
 # Pickled by reference: forked workers resolve the same patched name.
 probe.__module__, probe.__qualname__ = shard.__name__, "run_shard"
 shard.run_shard = orchestrator.run_shard = probe
 status = main(sys.argv[2:])
-print(os.getpid(), "scipy.signal" in sys.modules, status)
+print(os.getpid(), "scipy" in sys.modules, status)
 """
 
 

@@ -83,7 +83,7 @@ class TestTransientAccuracy:
         np.testing.assert_allclose(v.samples, expected, atol=1e-9)
 
     def test_matches_direct_state_space_recurrence(self, solver):
-        """sosfilt path must agree with a literal state-space recurrence."""
+        """The section filter must agree with a literal state-space recurrence."""
         rng = np.random.default_rng(7)
         load = rng.uniform(0, 30, size=400)
         v_fast = solver.simulate(CurrentTrace(load, DT), vdd=VDD).samples

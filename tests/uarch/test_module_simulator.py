@@ -228,6 +228,20 @@ class TestPhaseAndSensitivity:
         assert sensitive.sensitivity.max() > plain.sensitivity.max()
         assert plain.sensitivity.max() == pytest.approx(1.0)
 
+    def test_sensitivity_survives_the_trace_buffer_boundary(self):
+        # 100 iterations of a 3-deep idiv chain start with 4800-cycle
+        # buffers and run 5383 cycles; the divide issued just before
+        # cycle 4800 must mark its cycles past it, as in a 200-iteration
+        # run, whose buffers start twice as long.
+        kernel = build_kernel(subblock(["idiv"] * 3, dependent=True),
+                              replications=1, lp_nops=0, nop_spec=TABLE.nop)
+        short = run_single(kernel, iters=100)
+        long = run_single(kernel, iters=200)
+        assert short.cycles > 4800
+        assert short.sensitivity[4800:4806].min() > 1.0
+        np.testing.assert_array_equal(short.sensitivity[:5200],
+                                      long.sensitivity[:5200])
+
     def test_extension_check_rejects_fma_on_phenom(self):
         kernel = kernel_of(["vfmaddpd"])
         sim = ModuleSimulator(phenom_chip())
