@@ -60,6 +60,27 @@ def _encode(value, memo: dict) -> str:
     return encoded
 
 
+def _encode_instruction(inst: Instruction, memo: dict) -> str:
+    """:func:`_encode` of *inst*, the same text, without the generic dispatch.
+
+    Spells out :class:`Instruction`'s fields in declaration order and looks
+    the shared spec and registers up in *memo* first.  A kernel holds one
+    object per NOP slot, so most of its instructions are encoded here.
+    """
+    encoded = memo.get(id(inst))
+    if encoded is None:
+        spec = memo.get(id(inst.spec)) or _encode(inst.spec, memo)
+        dest = ("None" if inst.dest is None
+                else memo.get(id(inst.dest)) or _encode(inst.dest, memo))
+        sources = ",".join([memo.get(id(reg)) or _encode(reg, memo)
+                            for reg in inst.sources])
+        encoded = memo[id(inst)] = (
+            f"Instruction({spec},{dest},({sources}),{_encode(inst.data, memo)},"
+            f"{inst.memory_level!r})"
+        )
+    return encoded
+
+
 @dataclass(frozen=True)
 class LoopKernel:
     """A loop body: HP instructions followed by LP instructions.
@@ -115,7 +136,7 @@ class LoopKernel:
         for region in (self.hp, self.lp):
             digest.update(b"|")
             for inst in region:
-                digest.update(_encode(inst, memo).encode())
+                digest.update(_encode_instruction(inst, memo).encode())
                 digest.update(b";")
         return digest.hexdigest()
 

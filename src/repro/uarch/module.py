@@ -18,6 +18,10 @@ Loops are assumed perfectly predicted (they are: a fixed-trip-count ``dec
 rcx; jnz``), so there is no misprediction modelling here; benchmark-style
 irregular activity is modelled separately in :mod:`repro.workloads`.
 
+Each thread decodes its loop body once per run into one :class:`_Op` per
+slot (unit pool, flags, latency, energies, registers), which is all the
+per-cycle decode and issue loops read.
+
 Because the scheduler is deterministic and the loop branch always goes the
 same way, a run whose machine state repeats is periodic from then on.  Each
 time thread 0 starts an iteration, :func:`_fast_forward` takes the state
@@ -71,32 +75,80 @@ def _result_latency(inst: Instruction, caches) -> int:
     return max(spec.latency, caches.load_latency(CacheLevel(inst.memory_level)))
 
 
+class _Op:
+    """One instruction decoded for one thread: what decode and issue read.
+
+    Built once per distinct instruction of a thread's body when a run
+    starts (:func:`_decode_body`), so the per-cycle loops never walk
+    :class:`Instruction`/:class:`OpcodeSpec`.  ``pool`` is None for a NOP
+    and for an op whose unit has no pool (issuing one raises).
+    """
+
+    __slots__ = ("unit", "pool", "is_nop", "is_fp", "has_dest", "decode_energy",
+                 "issue_interval", "latency", "issue_energy", "sensitivity",
+                 "unit_key", "reads", "writes")
+
+    def __init__(self, inst: Instruction, pools: dict, caches):
+        spec = inst.spec
+        self.unit = spec.unit
+        self.pool = pools.get(spec.unit)
+        self.is_nop = inst.is_nop
+        self.is_fp = spec.is_fp
+        self.has_dest = spec.has_dest
+        self.decode_energy = spec.energy_pj if self.is_nop else DECODE_ENERGY_PJ
+        self.issue_interval = spec.issue_interval
+        self.latency = _result_latency(inst, caches)
+        self.issue_energy = 0.0
+        if not self.is_nop:
+            extra_energy = 0.0
+            if spec.memory:
+                extra_energy = caches.access_energy(CacheLevel(inst.memory_level))
+            self.issue_energy = spec.energy_pj * toggle_factor(inst.data) + extra_energy
+        self.sensitivity = spec.path_sensitivity
+        self.unit_key = spec.unit.value
+        self.reads = tuple(inst.reads)
+        self.writes = tuple(inst.writes)
+
+
+def _decode_body(body: list[Instruction], pools: dict, caches) -> list[_Op]:
+    """The op of every body slot, one per distinct instruction.
+
+    Replicated sub-blocks repeat one instruction object, so objects are
+    keyed by identity; NOP regions hold a fresh but equal NOP per slot,
+    so NOPs are keyed by what decode reads of them.
+    """
+    decoded: dict = {}
+    ops = []
+    for inst in body:
+        key = ((id(inst.spec), inst.data, inst.memory_level) if inst.is_nop
+               else id(inst))
+        op = decoded.get(key)
+        if op is None:
+            op = decoded[key] = _Op(inst, pools, caches)
+        ops.append(op)
+    return ops
+
+
 class _InFlight:
-    """A decoded, not-yet-issued (or executing) instruction."""
+    """A decoded, not-yet-issued (or executing) op."""
 
-    __slots__ = ("inst", "slot", "producers", "ready_cycle", "is_loop_close",
-                 "token_pool")
+    __slots__ = ("op", "slot", "producers", "ready_cycle", "token_pool")
 
-    def __init__(self, inst: Instruction, slot: int, producers: list["_InFlight"],
-                 is_loop_close: bool = False):
-        self.inst = inst
+    def __init__(self, op: _Op, slot: int, producers: list["_InFlight"]):
+        self.op = op
         self.slot = slot  # position in the thread's loop body
         self.producers = producers
         self.ready_cycle: int | None = None  # set at issue
-        self.is_loop_close = is_loop_close
         self.token_pool: TokenPool | None = None
 
 
 class _ThreadState:
     """Decode/issue state of one hardware thread."""
 
-    def __init__(self, program: ThreadProgram, config: ChipConfig, tid: int):
+    def __init__(self, program: ThreadProgram, config: ChipConfig, tid: int,
+                 fp_pools: dict):
         core = config.module.core
         self.tid = tid
-        self.program = program
-        body = list(program.kernel.body)
-        loop_close = Instruction(spec=LOOP_CLOSE_SPEC)
-        self.body: list[Instruction] = body + [loop_close]
         self.pos = 0
         self.iteration = 0
         self.target_iterations = program.iterations
@@ -112,6 +164,10 @@ class _ThreadState:
         self.int_tokens = TokenPool(core.int_phys_regs, "int-prf")
         self.rob: list[_InFlight] = []
         self.retire_width = core.retire_width
+        pools = {Unit.IALU: self.ialu, Unit.AGU: self.agu, Unit.IMUL: self.imul,
+                 **fp_pools}
+        body = list(program.kernel.body) + [Instruction(spec=LOOP_CLOSE_SPEC)]
+        self.ops = _decode_body(body, pools, config.caches)
 
     @property
     def decode_done(self) -> bool:
@@ -120,15 +176,6 @@ class _ThreadState:
     @property
     def drained(self) -> bool:
         return self.decode_done and not self.window and not self.rob
-
-    def next_instruction(self) -> Instruction:
-        return self.body[self.pos]
-
-    def advance(self) -> None:
-        self.pos += 1
-        if self.pos >= len(self.body):
-            self.pos = 0
-            self.iteration += 1
 
 
 @dataclass(frozen=True)
@@ -250,24 +297,6 @@ class ModuleSimulator:
         for program in programs:
             self._check_extensions(program)
 
-        threads = []
-        for tid, program in enumerate(programs):
-            state = _ThreadState(program, self.config, tid)
-            if max_iterations is not None:
-                state.target_iterations = min(state.target_iterations, max_iterations)
-            threads.append(state)
-
-        capacity = max(
-            sum(t.target_iterations for t in threads) * (max(len(t.body) for t in threads) + 8) * 4,
-            4096,
-        )
-        energy = np.zeros(capacity)
-        sens = np.zeros(capacity)
-        # An issue marks sensitivity up to its result latency past the
-        # cycle, so the buffers stay that far ahead of the clock.
-        caches = self.config.caches
-        reach = max(_result_latency(inst, caches) for t in threads for inst in t.body)
-
         fp_pools = {
             Unit.FPU: UnitPool(module.fp_arith_pipes, "fp-arith"),
             Unit.FSIMD: UnitPool(module.fp_simd_pipes, "fp-simd"),
@@ -278,6 +307,23 @@ class ModuleSimulator:
             if module.fp_throttle is not None
             else None
         )
+
+        threads = []
+        for tid, program in enumerate(programs):
+            state = _ThreadState(program, self.config, tid, fp_pools)
+            if max_iterations is not None:
+                state.target_iterations = min(state.target_iterations, max_iterations)
+            threads.append(state)
+
+        capacity = max(
+            sum(t.target_iterations for t in threads) * (max(len(t.ops) for t in threads) + 8) * 4,
+            4096,
+        )
+        energy = np.zeros(capacity)
+        sens = np.zeros(capacity)
+        # An issue marks sensitivity up to its result latency past the
+        # cycle, so the buffers stay that far ahead of the clock.
+        reach = max(op.latency for t in threads for op in t.ops)
 
         counters = {
             "issues": {},
@@ -316,10 +362,8 @@ class ModuleSimulator:
             order = threads if cycle % 2 == 0 else list(reversed(threads))
             self._decode_cycle(order, module.decode_width, fp_tokens, energy,
                                cycle, counters)
-            issued_any = self._issue_cycle(
-                order, fp_pools, fp_tokens, fp_throttle, energy, sens, cycle,
-                counters,
-            )
+            issued_any = self._issue_cycle(order, fp_throttle, energy, sens,
+                                           cycle, counters)
             if issued_any or any(
                 not t.decode_done and cycle >= t.start_cycle for t in threads
             ):
@@ -355,109 +399,101 @@ class ModuleSimulator:
     def _decode_cycle(self, order, decode_width, fp_tokens, energy,
                       cycle, counters) -> None:
         slots = decode_width
+        stalls = counters["decode_stalls"]
+        # Summed in a Python float in the same order as adding to the
+        # array element by element: the same IEEE additions.
+        spent = float(energy[cycle])
         blocked: set[int] = set()
         while slots > 0:
             progressed = False
             for t in order:
                 if slots == 0:
                     break
-                if t.tid in blocked or t.decode_done or cycle < t.start_cycle:
+                if (t.tid in blocked or t.iteration >= t.target_iterations
+                        or cycle < t.start_cycle):
                     continue
-                inst = t.next_instruction()
-                if inst.is_nop:
-                    energy[cycle] += inst.spec.energy_pj
-                    counters["decoded"] += 1
-                    if t.pos == 0:
-                        t.iter_start_cycles.append(cycle)
-                    t.advance()
-                    slots -= 1
-                    progressed = True
-                    continue
-                if len(t.window) >= t.window_capacity:
-                    counters["decode_stalls"]["window"] += 1
-                    blocked.add(t.tid)
-                    continue
-                if inst.spec.has_dest:
-                    tokens = fp_tokens if inst.spec.is_fp else t.int_tokens
-                    if not tokens.try_acquire():
-                        key = "fp_tokens" if inst.spec.is_fp else "int_tokens"
-                        counters["decode_stalls"][key] += 1
+                pos = t.pos
+                op = t.ops[pos]
+                if not op.is_nop:
+                    if len(t.window) >= t.window_capacity:
+                        stalls["window"] += 1
                         blocked.add(t.tid)
                         continue
-                    acquired = tokens
-                else:
                     acquired = None
-                producers = [
-                    t.rename[reg]
-                    for reg in inst.reads
-                    if reg in t.rename
-                ]
-                record = _InFlight(inst, t.pos, producers,
-                                   is_loop_close=inst.spec is LOOP_CLOSE_SPEC)
-                record.token_pool = acquired
-                t.window.append(record)
-                t.rob.append(record)
-                for reg in inst.writes:
-                    t.rename[reg] = record
-                energy[cycle] += DECODE_ENERGY_PJ
+                    if op.has_dest:
+                        tokens = fp_tokens if op.is_fp else t.int_tokens
+                        if not tokens.try_acquire():
+                            stalls["fp_tokens" if op.is_fp else "int_tokens"] += 1
+                            blocked.add(t.tid)
+                            continue
+                        acquired = tokens
+                    rename = t.rename
+                    record = _InFlight(
+                        op, pos, [rename[reg] for reg in op.reads if reg in rename]
+                    )
+                    record.token_pool = acquired
+                    t.window.append(record)
+                    t.rob.append(record)
+                    for reg in op.writes:
+                        rename[reg] = record
+                spent += op.decode_energy
                 counters["decoded"] += 1
-                if t.pos == 0:
+                if pos == 0:
                     t.iter_start_cycles.append(cycle)
-                t.advance()
+                pos += 1
+                if pos == len(t.ops):
+                    pos = 0
+                    t.iteration += 1
+                t.pos = pos
                 slots -= 1
                 progressed = True
             if not progressed:
                 break
+        energy[cycle] = spent
 
-    def _issue_cycle(
-        self, order, fp_pools, fp_tokens, fp_throttle, energy, sens, cycle,
-        counters,
-    ) -> bool:
-        caches = self.config.caches
+    def _issue_cycle(self, order, fp_throttle, energy, sens, cycle,
+                     counters) -> bool:
+        issues = counters["issues"]
+        spent = float(energy[cycle])  # summed as in _decode_cycle
         issued_any = False
         for t in order:
+            bus = t.result_bus
             still_waiting: list[_InFlight] = []
             for record in t.window:
-                inst = record.inst
-                spec = inst.spec
-                if not self._deps_ready(record, cycle):
+                ready = True
+                for producer in record.producers:
+                    done = producer.ready_cycle
+                    if done is None or done > cycle:
+                        ready = False
+                        break
+                if not ready:
                     still_waiting.append(record)
                     continue
-                unit = self._unit_pool(t, fp_pools, spec.unit)
-                if unit.free_pipes(cycle) == 0:
-                    still_waiting.append(record)
-                    continue
-                if spec.is_fp and fp_throttle is not None and (
-                    fp_throttle.used(cycle) >= fp_throttle.limit
-                ):
-                    still_waiting.append(record)
-                    continue
-                if spec.has_dest and t.result_bus.used(cycle) >= t.result_bus.limit:
+                op = record.op
+                pool = op.pool
+                if pool is None:
+                    raise SchedulingError(f"no unit pool for {op.unit!r}")
+                if (not pool.any_free(cycle)
+                        or (op.is_fp and fp_throttle is not None
+                            and fp_throttle.used(cycle) >= fp_throttle.limit)
+                        or (op.has_dest and bus.used(cycle) >= bus.limit)):
                     still_waiting.append(record)
                     continue
                 # Commit the issue.
-                unit.try_issue(cycle, spec.issue_interval)
-                if spec.is_fp and fp_throttle is not None:
+                pool.try_issue(cycle, op.issue_interval)
+                if op.is_fp and fp_throttle is not None:
                     fp_throttle.try_take(cycle)
-                if spec.has_dest:
-                    t.result_bus.try_take(cycle)
-                extra_energy = 0.0
-                if spec.memory:
-                    extra_energy = caches.access_energy(CacheLevel(inst.memory_level))
-                record.ready_cycle = cycle + _result_latency(inst, caches)
-                exec_energy = spec.energy_pj * toggle_factor(inst.data) + extra_energy
-                energy[cycle] += exec_energy
-                if spec.path_sensitivity > 0:
-                    end = record.ready_cycle
+                if op.has_dest:
+                    bus.try_take(cycle)
+                end = record.ready_cycle = cycle + op.latency
+                spent += op.issue_energy
+                if op.sensitivity > 0:
                     window = sens[cycle:end]
-                    np.maximum(window, spec.path_sensitivity, out=window)
-                unit_key = spec.unit.value
-                counters["issues"][unit_key] = (
-                    counters["issues"].get(unit_key, 0) + 1
-                )
+                    np.maximum(window, op.sensitivity, out=window)
+                issues[op.unit_key] = issues.get(op.unit_key, 0) + 1
                 issued_any = True
             t.window = still_waiting
-            t.result_bus.forget_before(cycle - 2)
+            bus.forget_before(cycle - 2)
             # In-order retirement: physical-register tokens free only when
             # the op retires behind all older ops (paper Section V.A.5's
             # "physical register availability" hazard).  A slow op at the
@@ -471,29 +507,10 @@ class ModuleSimulator:
                     record.token_pool.release_at(cycle + 1)
                 counters["retired"] += 1
                 retired += 1
+        energy[cycle] = spent
         if fp_throttle is not None:
             fp_throttle.forget_before(cycle - 2)
         return issued_any
-
-    @staticmethod
-    def _deps_ready(record: _InFlight, cycle: int) -> bool:
-        for producer in record.producers:
-            if producer.ready_cycle is None or producer.ready_cycle > cycle:
-                return False
-        return True
-
-    @staticmethod
-    def _unit_pool(thread: _ThreadState, fp_pools: dict, unit: Unit) -> UnitPool:
-        if unit is Unit.IALU:
-            return thread.ialu
-        if unit is Unit.AGU:
-            return thread.agu
-        if unit is Unit.IMUL:
-            return thread.imul
-        pool = fp_pools.get(unit)
-        if pool is None:
-            raise SchedulingError(f"no unit pool for {unit!r}")
-        return pool
 
 
 def _machine_state(threads, fp_pools, fp_tokens, fp_throttle, sens,

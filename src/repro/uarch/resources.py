@@ -82,9 +82,9 @@ class UnitPool:
                 return True
         return False
 
-    def free_pipes(self, cycle: int) -> int:
-        """Number of pipes idle at *cycle*."""
-        return sum(1 for b in self._busy_until if b <= cycle)
+    def any_free(self, cycle: int) -> bool:
+        """Whether some pipe is idle at *cycle*."""
+        return min(self._busy_until) <= cycle
 
     def state(self, now: int) -> tuple:
         """Per-pipe busy times relative to *now*; an idle pipe reads 0."""

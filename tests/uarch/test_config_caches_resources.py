@@ -133,8 +133,19 @@ class TestUnitPool:
         assert pool.try_issue(0, 1)
         assert pool.try_issue(0, 1)
         assert not pool.try_issue(0, 1)
-        assert pool.free_pipes(0) == 0
-        assert pool.free_pipes(1) == 2
+        assert not pool.any_free(0)
+        # Both pipes are idle again one cycle on.
+        assert pool.any_free(1)
+        assert pool.try_issue(1, 1)
+        assert pool.try_issue(1, 1)
+
+    def test_any_free_sees_one_idle_pipe_beside_a_busy_one(self):
+        pool = UnitPool(2)
+        assert pool.try_issue(0, occupy_cycles=4)
+        assert pool.any_free(0)
+        assert pool.try_issue(0, 1)
+        assert not pool.any_free(0)
+        assert pool.any_free(1)
 
     def test_validation(self):
         with pytest.raises(SchedulingError):

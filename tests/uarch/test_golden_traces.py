@@ -19,6 +19,9 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from repro.uarch.module import ModuleSimulator, ModuleTrace
 from tests.uarch.simcases import CHIPS, case_kernel, chip_layouts, kernel_names, programs
 
 CORPUS = Path(__file__).with_name("golden_traces.json")
+ROOT = Path(__file__).resolve().parents[2]
 ITERATION_CAPS = (3, 48)
 
 
@@ -85,6 +89,29 @@ def test_corpus_covers_every_case():
 def test_trace_matches_golden_digests(case_id, chip_name, layout, name, cap):
     trace = run_case(chip_name, layout, name, cap)
     assert trace_digests(trace) == _load_corpus()[case_id]
+
+
+#: Runs the corpus cases named on the command line; prints their digests.
+CHILD = """
+import json, sys
+from tests.uarch.test_golden_traces import CASES, run_case, trace_digests
+wanted = set(sys.argv[1:])
+print(json.dumps({case_id: trace_digests(run_case(*rest))
+                  for case_id, *rest in CASES if case_id in wanted}))
+"""
+
+
+def test_digests_do_not_depend_on_the_hash_seed():
+    # Register sets iterate in string-hash order, and the simulator reads
+    # them when it decodes a loop body; another seed must change nothing.
+    sample = [case[0] for case in CASES[::21]]
+    seed = "4242" if os.environ.get("PYTHONHASHSEED") != "4242" else "0"
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    out = subprocess.run([sys.executable, "-c", CHILD, *sample], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True)
+    corpus = _load_corpus()
+    assert json.loads(out.stdout) == {case_id: corpus[case_id] for case_id in sample}
 
 
 if __name__ == "__main__":

@@ -106,6 +106,18 @@ class TestBasicExecution:
         with pytest.raises(SchedulingError):
             sim.run([prog, prog, prog])
 
+    def test_an_op_without_a_unit_pool_fails_when_it_issues(self):
+        from repro.isa.instruction import Instruction
+        from repro.isa.kernels import LoopKernel
+        from repro.isa.opcodes import IClass, OpcodeSpec, Unit
+
+        stray = OpcodeSpec(mnemonic="stray", iclass=IClass.BRANCH, unit=Unit.NONE,
+                           latency=1, issue_interval=1, energy_pj=10.0,
+                           num_sources=0, has_dest=False, operand_class=None)
+        kernel = LoopKernel(hp=(Instruction(spec=stray),), lp=())
+        with pytest.raises(SchedulingError, match="no unit pool for <Unit.NONE: 'none'>"):
+            run_single(kernel)
+
     def test_max_iterations_caps_work(self):
         trace = run_single(kernel_of(["add"]), iters=5)
         assert len(trace.iter_start_cycles[0]) == 5
