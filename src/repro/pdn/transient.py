@@ -8,11 +8,13 @@ generic integrator: the continuous state space is discretised **exactly**
 sections, and run as a section cascade — numerically stable, no
 time-step error for piecewise-constant current (which per-cycle current
 profiles are).  The discretisation, the pole-zero pairing and the filter
-are ports of ``scipy.signal``'s ``cont2discrete``, ``zpk2sos`` and
-``sosfilt``, bit-identical to them.  The filter runs in Python floats,
-about 0.5 µs per sample against the C ``sosfilt``'s 0.015 µs; the
-~0.9 s import of ``scipy.signal`` that this saves outweighs that until a
-process filters about 1-2 M samples.
+are those of ``scipy.signal``'s ``cont2discrete``, ``zpk2sos`` and
+``sosfilt``, bit-identical to them: the pairing is a port, and the rest
+call scipy's compiled kernels (the Padé matrix exponential, LAPACK
+``ggev`` and the section filter) through ports of the Python glue around
+them.  :func:`_kernels` loads those extension modules from their files,
+so no process runs the ``__init__`` of the ``scipy.signal`` or the
+``scipy.linalg`` package, which cost ~0.9 s and ~0.29 s to import.
 
 Two solvers are provided:
 
@@ -28,18 +30,20 @@ sets the operating point each solve is given.  :func:`shared_solver`
 therefore keeps one solver per network per process and serves it to
 every supply and every pipeline measuring on it.
 
-Only the time-domain path needs the discretisation, whose matrix
-exponential and pencil eigenvalues import ``scipy.linalg`` (about a
-quarter of a second), so a solver discretises its network on its first
-``simulate``, ``simulate_batch`` or ``impulse_response`` call, which pays
-that import; a process whose solves are all periodic loads no scipy at
-all, and none loads ``scipy.signal``.
+Only the time-domain path needs the discretisation and the filter, so a
+solver discretises its network, and the kernels load (~10 ms), on its
+first ``simulate``, ``simulate_batch`` or ``impulse_response`` call; a
+process whose solves are all periodic loads no scipy at all.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 
@@ -102,6 +106,47 @@ class VoltageTrace:
         return np.arange(len(self.samples)) * self.dt
 
 
+#: The compiled scipy kernels a transient solve calls:
+#: ``(subpackage, module, symbols)``.
+_KERNELS = (
+    ("signal", "_sosfilt", ("_sosfilt",)),
+    ("linalg", "_matfuncs_expm", ("pick_pade_structure", "pade_UV_calc")),
+    ("linalg", "_flapack", ("dggev",)),
+)
+
+
+@cache
+def _kernels() -> dict:
+    """scipy's compiled sosfilt, Padé and ``dggev`` kernels, by name.
+
+    A module whose package is not imported is loaded from its file by
+    module spec, so no ``scipy.signal`` or ``scipy.linalg`` ``__init__``
+    runs.
+    """
+    import scipy
+
+    kernels = {}
+    for package, stem, symbols in _KERNELS:
+        name = f"scipy.{package}.{stem}"
+        module = sys.modules.get(name)
+        if module is None:
+            base = Path(scipy.__file__).parent / package / stem
+            paths = [Path(f"{base}{suffix}") for suffix in EXTENSION_SUFFIXES]
+            path = next((path for path in paths if path.is_file()), None)
+            if path is None:
+                raise PdnError(f"scipy {scipy.__version__} has no {paths[0]}, "
+                               "which transient PDN solves call")
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        for symbol in symbols:
+            if not hasattr(module, symbol):
+                raise PdnError(f"scipy {scipy.__version__}'s {module.__file__} has "
+                               f"no {symbol}, which transient PDN solves call")
+            kernels[symbol] = getattr(module, symbol)
+    return kernels
+
+
 def _ss_to_sos(ad, bd, cd, dd) -> np.ndarray:
     """Discrete SISO state space → second-order sections, polynomial-free.
 
@@ -109,15 +154,13 @@ def _ss_to_sos(ad, bd, cd, dd) -> np.ndarray:
     eigenvalues of the Rosenbrock system pencil; the gain is fixed by
     matching the frequency response at one well-conditioned point.
     """
-    from scipy import linalg
-
     n = ad.shape[0]
     poles = np.linalg.eigvals(ad)
     # Rosenbrock pencil: zeros z satisfy det([[ad - zI, bd], [cd, dd]]) = 0.
     pencil_a = np.block([[ad, bd], [cd, dd]])
     pencil_b = np.zeros_like(pencil_a)
     pencil_b[:n, :n] = np.eye(n)
-    zeros = linalg.eigvals(pencil_a, pencil_b)
+    zeros = _pencil_eigvals(pencil_a, pencil_b)
     zeros = zeros[np.isfinite(zeros)]
     # Gain: match H(z0) at a point away from poles and zeros.
     z0 = np.exp(1j * 0.7)
@@ -128,11 +171,12 @@ def _ss_to_sos(ad, bd, cd, dd) -> np.ndarray:
     return _zpk2sos(zeros, poles, gain.real)
 
 
-# _zoh, _cplxreal, _nearest_idx and _zpk2sos are scipy.signal's ZOH
-# cont2discrete, _cplxreal, _nearest_real_complex_idx and zpk2sos (digital,
-# pairing="nearest"), and _sosfilt follows the operation order of its
-# _sosfilt kernel, so the discrete system, the sections and every filtered
-# sample are bit-identical to scipy's.  They are adapted from SciPy, which
+# _zoh, _cplxreal, _nearest_idx, _zpk2sos and _sosfilt are scipy.signal's
+# ZOH cont2discrete, _cplxreal, _nearest_real_complex_idx, zpk2sos
+# (digital, pairing="nearest") and sosfilt; _expm and _pencil_eigvals are
+# the glue of scipy.linalg's expm and eigvals(a, b) around their compiled
+# kernels.  The discrete system, the sections and every filtered sample
+# are bit-identical to scipy's.  They are adapted from SciPy, which
 # carries this notice:
 #
 #   Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
@@ -173,12 +217,54 @@ def _zoh(a, b, dt):
     Built as ``scipy.signal.cont2discrete(..., method="zoh")`` builds it,
     so bit for bit the same: ``expm(dt * [[a, b], [0, 0]])``, top rows.
     """
-    from scipy import linalg
-
     n, m = b.shape
     em = np.vstack((np.hstack((a, b)), np.zeros((m, n + m))))
-    ms = linalg.expm(dt * em)[:n, :]
+    ms = _expm(dt * em)[:n, :]
     return ms[:, :n], ms[:, n:]
+
+
+def _expm(a):
+    """``scipy.linalg.expm`` of the square float64 *a*: a Padé
+    approximant of ``a`` scaled by ``2**-s``, squared ``s`` times.
+
+    scipy's diagonal and triangular branches are left out: *a* must have
+    entries both below and above its diagonal.  A ladder's ``dt * [[A,
+    B], [0, 0]]`` always has both, ``A[3, 0] = 1/C1`` and ``A[0, 3] =
+    -1/L1`` with ``C1, L1 > 0``.
+    """
+    if not (np.tril(a, -1).any() and np.triu(a, 1).any()):
+        raise PdnError("matrix exponential of a diagonal or triangular matrix")
+    kernels = _kernels()
+    am = np.empty((5, *a.shape))
+    am[0] = a
+    # Fills am with the powers of a the degree-m approximant uses,
+    # scaled by 2**-s.
+    m, s = kernels["pick_pade_structure"](am)
+    info = kernels["pade_UV_calc"](am, m) if m >= 0 else m
+    if info != 0:
+        raise PdnError(f"matrix exponential failed in scipy's Padé kernel ({info})")
+    ea = am[0]
+    for _ in range(s):
+        ea = ea @ ea
+    return ea
+
+
+def _pencil_eigvals(a, b):
+    """``scipy.linalg.eigvals(a, b)``: the generalized eigenvalues of the
+    real pencil ``(a, b)``, ``inf`` (or ``nan``) where ``beta`` is 0."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise PdnError("pencil must not contain infs or NaNs")
+    ggev = _kernels()["dggev"]
+    lwork = ggev(a, b, lwork=-1)[-2][0].real.astype(np.int_)
+    alphar, alphai, beta, _vl, _vr, _work, info = ggev(a, b, 0, 0, lwork, 0, 0)
+    if info != 0:
+        raise PdnError(f"generalized eigenvalues failed in LAPACK dggev (info={info})")
+    alpha = alphar + np.array(1j, dtype="F") * alphai  # scipy's expression
+    w = np.empty_like(alpha)
+    finite = beta != 0
+    w[finite] = alpha[finite] / beta[finite]
+    w[~finite] = np.where(alpha[~finite] == 0, np.nan, np.inf)
+    return w
 
 
 def _cplxreal(z):
@@ -268,21 +354,13 @@ def _zpk2sos(z, p, k) -> np.ndarray:
 
 
 def _sosfilt(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Filter the 1-D float64 *x* through the cascade *sos* from rest.
-
-    Direct form II transposed in Python floats, each section over the
-    whole signal in turn, in place, with ``scipy.signal.sosfilt``'s
-    per-sample arithmetic (``y = b0*x + z0``, ``z0 = b1*x - a1*y + z1``,
-    ``z1 = b2*x - a2*y``), so every sample is bit-identical to it.
-    """
-    samples = x.tolist()
-    for b0, b1, b2, _a0, a1, a2 in sos.tolist():
-        z0 = z1 = 0.0
-        for i, xc in enumerate(samples):
-            samples[i] = y = b0 * xc + z0
-            z0 = b1 * xc - a1 * y + z1
-            z1 = b2 * xc - a2 * y
-    return np.array(samples, dtype=np.float64)
+    """Filter *x* (1-D, or 2-D row by row) through the cascade *sos* from
+    rest, with scipy's compiled ``sosfilt`` kernel (direct form II
+    transposed), called as ``scipy.signal.sosfilt`` calls it."""
+    out = np.array(x, dtype=np.float64, order="C")  # the kernel filters in place
+    rows = out.reshape(-1, out.shape[-1])
+    _kernels()["_sosfilt"](sos, rows, np.zeros((len(rows), len(sos), 2)))
+    return out
 
 
 class TransientSolver:
@@ -305,8 +383,10 @@ class TransientSolver:
 
     @cached_property
     def _sos(self) -> np.ndarray:
-        """The ZOH-exact second-order sections, built on first use (the
-        discrete state space is kept as ``_ad``, ``_bd``, ``_cd``, ``_dd``)."""
+        """The ZOH-exact second-order sections, built by the first
+        time-domain solve, which also loads scipy's compiled kernels
+        (:func:`_kernels`); the discrete state space is kept as ``_ad``,
+        ``_bd``, ``_cd``, ``_dd``."""
         network = self.network
         ad, bd = _zoh(network.a_matrix, network.b_matrix, self.dt)
         cd, dd = network.c_matrix, network.d_matrix
@@ -424,8 +504,8 @@ class TransientSolver:
         """Batched :meth:`simulate`: one row per candidate trace.
 
         The baselines are subtracted and the DC operating points and
-        supply voltages applied for all rows at once; the section cascade
-        filters row by row.  Bit-identical to serial :meth:`simulate`
+        supply voltages applied for all rows at once, and one kernel call
+        filters every row.  Bit-identical to serial :meth:`simulate`
         calls with per-row baselines and supplies.
         """
         matrix = np.asarray(load_matrix, dtype=np.float64)
@@ -442,7 +522,7 @@ class TransientSolver:
         for row in matrix:
             check_current_samples(row, layer="pdn")
         deviation = matrix - baselines[:, None]
-        response = np.stack([_sosfilt(self._sos, row) for row in deviation])
+        response = _sosfilt(self._sos, deviation)
         dcs = np.array([self.network.dc_droop(float(b)) for b in baselines])
         volts = (vdds - dcs)[:, None] + response
         for row, vdd in zip(volts, vdds):
@@ -475,8 +555,8 @@ def shared_solver(params: PdnParameters, dt: float) -> TransientSolver:
     key = (params.board, params.package, params.die, params.load_line_ohm, dt)
     solver = _SOLVERS.get(key)
     if solver is None:
-        # Cheap: the solver discretises (and imports ``scipy.linalg``)
-        # on its first time-domain solve, not here.
+        # Cheap: the solver discretises (and loads scipy's compiled
+        # kernels) on its first time-domain solve, not here.
         solver = TransientSolver(PdnNetwork(params), dt)
         if len(_SOLVERS) >= SOLVER_MEMO_ENTRIES:
             _SOLVERS.pop(next(iter(_SOLVERS)), None)

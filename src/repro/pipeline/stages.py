@@ -236,7 +236,7 @@ class PdnStage:
         self._energy_model = EnergyModel(chip.power, chip.vdd, chip.frequency_hz)
         # No solver yet: :attr:`solver` resolves it on the first solve,
         # and only a time-domain solve discretises the network (and
-        # imports ``scipy.linalg``), inside that measurement.
+        # loads scipy's compiled kernels), inside that measurement.
 
     @property
     def solver(self) -> TransientSolver:

@@ -1,14 +1,14 @@
 """Import hygiene: what a launch loads, and what can be imported first.
 
-No launch loads ``scipy.signal``: the time-domain PDN solver carries its
-own discretisation, pole-zero pairing and section filter.  Its matrix
-exponential loads ``scipy.linalg`` on a process's first time-domain
-solve, not when ``repro`` starts or a platform is built.  Launches that
-never solve (``--version``, registry listings, fleet status, a fleet
-resume served from its bank) and launches whose solves are all periodic
-(``qualify`` at one thread per module, ``registry verify``) load neither;
-an SMT launch, whose jittered solves run in the time domain, loads
-``scipy.linalg`` and still no ``scipy.signal``.
+No launch loads ``scipy.signal`` or ``scipy.linalg``: the time-domain
+PDN solver loads the compiled scipy kernels it calls from their files on
+a process's first time-domain solve, not when ``repro`` starts or a
+platform is built.  Launches that never solve (``--version``, registry
+listings, fleet status, a fleet resume served from its bank) and
+launches whose solves are all periodic (``qualify`` at one thread per
+module, ``registry verify``) load no scipy at all; an SMT launch, whose
+jittered solves run in the time domain, loads the kernels and neither
+package.  A missing kernel fails that first solve loudly.
 Parsing arguments loads no numpy: the CLI imports the simulator inside
 the commands that run it.  Every module under ``src/repro`` imports
 cleanly as the first ``repro`` module of a fresh interpreter.
@@ -99,11 +99,13 @@ class TestLaunchesThatNeverSolve:
 
     def test_a_launch_that_solves_does_load_it(self):
         # 8T pairs two threads per module: SMT jitter takes the
-        # time-domain path, whose discretisation needs scipy.linalg and
-        # whose filter needs no scipy.signal.
+        # time-domain path, which calls scipy's compiled kernels without
+        # importing their packages.
         modules = imported(LAUNCH, "qualify", "a-res", "--threads", "8")
-        assert "scipy.linalg" in modules
+        assert "scipy.linalg" not in modules
         assert "scipy.signal" not in modules
+        assert {"scipy.signal._sosfilt", "scipy.linalg._matfuncs_expm",
+                "scipy.linalg._flapack"} <= modules
 
 
 class TestParsingArgumentsLoadsNoNumpy:
@@ -203,3 +205,28 @@ def test_the_first_transient_solve_discretises_once(monkeypatch):
     solver.impulse_response(16)
     assert len(builds) == 1
     assert stage.solver is solver
+
+
+def test_a_missing_kernel_fails_the_first_transient_solve(monkeypatch, tmp_path):
+    import functools
+
+    import numpy as np
+    import scipy
+
+    from repro.errors import PdnError
+    from repro.pdn import transient
+    from repro.pdn.elements import bulldozer_pdn
+    from repro.pdn.network import PdnNetwork
+    from repro.power.trace import CurrentTrace
+
+    # A scipy tree without its extension modules, and a fresh loader.
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    monkeypatch.setattr(transient, "_kernels", functools.cache(transient._kernels.__wrapped__))
+    for package, stem, _symbols in transient._KERNELS:
+        monkeypatch.delitem(sys.modules, f"scipy.{package}.{stem}", raising=False)
+    solver = transient.TransientSolver(PdnNetwork(bulldozer_pdn()), 3e-10)
+    with pytest.raises(PdnError) as failure:
+        solver.simulate(CurrentTrace(np.full(8, 5.0), 3e-10), vdd=1.2)
+    message = str(failure.value)
+    assert str(tmp_path / "signal" / "_sosfilt") in message
+    assert scipy.__version__ in message
