@@ -1,5 +1,6 @@
 """The transient solver's discretisation, pole-zero pairing and section
-filter against ``scipy.signal``, which stays their reference.
+filter against ``scipy.signal``, and the zeros it pairs against
+``scipy.linalg.eigvals``: the public functions stay their reference.
 
 Every network is a preset with its stage resistances, inductances and
 capacitances scaled, so stages range from sharply resonant to overdamped
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
-from scipy import signal
+from scipy import linalg, signal
 
 from repro.errors import ConfigurationError
 from repro.pdn import transient
@@ -84,6 +85,20 @@ def test_sections_match_zpk2sos(network, dt):
     event(f"{np.count_nonzero(p.imag == 0)} real poles, "
           f"{np.count_nonzero(z.imag == 0)} real zeros")
     assert np.array_equal(sos, signal.zpk2sos(z, p, k))
+
+
+@given(network=networks(), dt=st.sampled_from(CHIP_DTS))
+@settings(max_examples=60, deadline=None)
+def test_pencil_eigvals_match_scipy(network, dt):
+    """The zeros :func:`test_sections_match_zpk2sos` takes as given."""
+    ad, bd, cd, dd = discretised(network, dt)
+    n = ad.shape[0]
+    pencil_a = np.block([[ad, bd], [cd, dd]])
+    pencil_b = np.zeros_like(pencil_a)
+    pencil_b[:n, :n] = np.eye(n)
+    got = transient._pencil_eigvals(pencil_a, pencil_b)
+    assert np.array_equal(got, linalg.eigvals(pencil_a, pencil_b), equal_nan=True)
+    assert not np.isfinite(got).all()  # the pencil's singular B gives an infinite root
 
 
 @given(network=networks(), dt=st.sampled_from(CHIP_DTS),
