@@ -346,6 +346,7 @@ def collect_metrics(scenario: dict | None = None,
     from repro.core.qualify import QualifyConfig, StressmarkQualifier
     from repro.core.telemetry import TelemetryCollector
     from repro.experiments.setup import bulldozer_testbed, phenom_testbed
+    from repro.obs.spans import Tracer, tracing
 
     scenario = dict(scenario or DEFAULT_SCENARIO)
     testbed = {"bulldozer": bulldozer_testbed, "phenom": phenom_testbed}
@@ -363,8 +364,9 @@ def collect_metrics(scenario: dict | None = None,
             stagnation_patience=max(6, scenario["generations"]),
         ),
     )
-    runner = AuditRunner(platform, config=config, observers=[collector])
-    result = runner.run()
+    runner = AuditRunner(platform, config=config)
+    with tracing(Tracer([collector])):
+        result = runner.run()
     qualifier = StressmarkQualifier(
         platform,
         threads=scenario["threads"],

@@ -35,6 +35,7 @@ from repro.core.ga import GaConfig
 from repro.core.platform import MeasurementPlatform
 from repro.core.telemetry import JsonlObserver, TelemetryCollector
 from repro.experiments.setup import bulldozer_testbed
+from repro.obs.spans import Tracer, tracing
 from repro.supervision.chaos import truncate_file
 from repro.supervision.executor import SupervisedExecutor
 
@@ -67,25 +68,24 @@ def check(condition: bool, message: str) -> None:
 
 def chaos_campaign(telemetry_path: str) -> None:
     collector = TelemetryCollector()
-    observers = [collector]
+    sinks = [collector]
     jsonl = None
     if telemetry_path:
         jsonl = JsonlObserver(telemetry_path)
-        observers.append(jsonl)
+        sinks.append(jsonl)
     executor = SupervisedExecutor(
         2, task_timeout_s=3.0, max_pool_rebuilds=30, poll_s=0.05,
-        observers=observers,
     )
     runner = AuditRunner(
         bulldozer_testbed(),
         config=CONFIG,
         executor=executor,
-        observers=observers,
         platform_factory=chaotic_platform,
         fault_policy=FaultPolicy(max_retries=0, on_exhaust="skip"),
     )
     try:
-        result = runner.run()
+        with tracing(Tracer(sinks)):
+            result = runner.run()
     finally:
         executor.close()
         if jsonl is not None:

@@ -10,10 +10,10 @@ from repro.cli._common import (
     _add_telemetry_args,
     _fault_policy,
     _make_supervised_executor,
-    _observers,
     _platform_factory,
     _publish_record,
     _shutdown_coordinator,
+    _sinks,
     _tracing_scope,
 )
 from repro.core.telemetry import TelemetryCollector
@@ -25,7 +25,6 @@ def cmd_audit(args) -> int:
     from repro.core.checkpoint import CampaignCheckpoint, validate_campaign_meta
     from repro.core.ga import GaConfig
     from repro.core.qualify import QualificationCheckpoint, QualifyConfig
-    from repro.isa.encoder import encode_program
 
     checkpoint = None
     resume = False
@@ -64,15 +63,14 @@ def cmd_audit(args) -> int:
         ga=GaConfig(population_size=args.population,
                     generations=args.generations, seed=args.seed),
     )
-    observers, jsonl = _observers(args)
+    sinks, jsonl = _sinks(args)
     collector = TelemetryCollector()
-    observers.append(collector)
-    executor = _make_supervised_executor(args, observers)
+    sinks.append(collector)
+    executor = _make_supervised_executor(args)
     runner = AuditRunner(
         platform,
         config=config,
         executor=executor,
-        observers=observers,
         platform_factory=_platform_factory(args.chip, args.throttle),
         fault_policy=_fault_policy(args),
     )
@@ -93,17 +91,26 @@ def cmd_audit(args) -> int:
             print(f"checkpoint salvage: {state.salvage_reason}")
         print(f"resuming campaign from generation {state.ga.generation} "
               f"({state.ga.evaluations} evaluations banked)")
-    coordinator = _shutdown_coordinator(args, observers)
+    coordinator = _shutdown_coordinator(args)
     try:
-        with _tracing_scope(args, observers), coordinator:
-            result = runner.run(checkpoint=checkpoint, resume=resume,
-                                qualify=qualify_config,
-                                qualify_checkpoint=qualify_checkpoint,
-                                stop=coordinator.stop_requested)
+        with _tracing_scope(args, sinks):
+            with coordinator:
+                result = runner.run(checkpoint=checkpoint, resume=resume,
+                                    qualify=qualify_config,
+                                    qualify_checkpoint=qualify_checkpoint,
+                                    stop=coordinator.stop_requested)
+            _report(args, result, platform, collector)
     finally:
         executor.close()
         if jsonl is not None:
             jsonl.close()
+    return 0
+
+
+def _report(args, result, platform, collector) -> None:
+    """Print the campaign's outcome; publish it with ``--registry``."""
+    from repro.isa.encoder import encode_program
+
     print(f"resonance: {result.resonance.resonance_hz / 1e6:.1f} MHz")
     print(f"GA evaluations: {result.ga_result.evaluations}")
     print(f"{result.name} droop at {args.threads}T: "
@@ -137,7 +144,7 @@ def cmd_audit(args) -> int:
                 extra={"telemetry": telemetry_summary(collector)},
             ),
         )
-        _publish_record(args, record, observers)
+        _publish_record(args, record)
     asm = encode_program(result.program(), name=result.name.lower().replace("-", "_"))
     if args.asm_out:
         with open(args.asm_out, "w") as handle:
@@ -147,7 +154,6 @@ def cmd_audit(args) -> int:
         print("\n" + asm)
     if args.telemetry:
         print("\n" + collector.summary_table(platform.metrics))
-    return 0
 
 
 def register(sub) -> None:

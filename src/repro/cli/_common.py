@@ -45,12 +45,12 @@ def _platform_factory(chip: str, throttle: int | None = None):
     return functools.partial(_platform, chip, throttle)
 
 
-def _observers(args):
-    """Telemetry sinks selected by CLI flags; returns (observers, jsonl)."""
-    observers = [_flight_recorder]
+def _sinks(args):
+    """Telemetry sinks selected by CLI flags; returns (sinks, jsonl)."""
+    sinks = [_flight_recorder]
     jsonl = None
     if getattr(args, "progress", False):
-        observers.append(ConsoleObserver())
+        sinks.append(ConsoleObserver())
     telemetry_out = getattr(args, "telemetry_out", None)
     if telemetry_out:
         try:
@@ -62,23 +62,22 @@ def _observers(args):
             raise ConfigurationError(
                 f"cannot open telemetry log {telemetry_out!r}: {error}"
             ) from error
-        observers.append(jsonl)
-    return observers, jsonl
+        sinks.append(jsonl)
+    return sinks, jsonl
 
 
-def _tracing_scope(args, observers):
-    """Scoped ambient tracer over the command's *observers*.
+def _tracing_scope(args, sinks):
+    """Scoped ambient tracer over the command's *sinks*.
 
-    Phases, generations, checkpoints and pipeline stages report only as
-    spans, and every campaign command has sinks for them (the run
-    collector and the crash flight recorder), so the scope always
-    installs a tracer, whatever telemetry flags *args* carries.  The
-    tracer holds the live *observers* list, so sinks appended after this
-    call still see every span.
+    The installed tracer is the only path any event takes to a sink, and
+    every command that emits has sinks (at least the crash flight
+    recorder), so the scope always installs a tracer, whatever telemetry
+    flags *args* carries.  A command opens it once, around everything
+    that emits.
     """
     from repro.obs.spans import Tracer, tracing
 
-    return tracing(Tracer(observers))
+    return tracing(Tracer(sinks))
 
 
 def _fault_policy(args) -> FaultPolicy | None:
@@ -130,17 +129,14 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
              "(same path as SIGTERM)")
 
 
-def _shutdown_coordinator(args, observers):
+def _shutdown_coordinator(args):
     """A ShutdownCoordinator wired to SIGTERM/SIGINT + --max-wall-clock."""
     from repro.supervision.shutdown import ShutdownCoordinator
 
-    return ShutdownCoordinator(
-        max_wall_clock_s=getattr(args, "max_wall_clock", None),
-        observers=observers,
-    )
+    return ShutdownCoordinator(max_wall_clock_s=getattr(args, "max_wall_clock", None))
 
 
-def _make_supervised_executor(args, observers):
+def _make_supervised_executor(args):
     """The campaign executor from --workers + supervision flags."""
     from repro.core.engine import make_executor
 
@@ -148,7 +144,6 @@ def _make_supervised_executor(args, observers):
         args.workers,
         hard_timeout_s=args.eval_hard_timeout,
         max_pool_rebuilds=args.max_pool_rebuilds,
-        observers=observers,
     )
 
 
@@ -194,11 +189,11 @@ def _add_registry_args(parser: argparse.ArgumentParser) -> None:
              "(used by `repro registry compare campaign:A campaign:B`)")
 
 
-def _publish_record(args, record, observers) -> None:
+def _publish_record(args, record) -> None:
     """Publish *record* into ``args.registry`` and narrate the outcome."""
     from repro.registry.store import StressmarkRegistry
 
-    registry = StressmarkRegistry(args.registry, observers=observers)
+    registry = StressmarkRegistry(args.registry)
     outcome = registry.publish(record)
     state = "already published as" if outcome.deduped else "published as"
     print(f"registry: {state} {outcome.record_id[:12]} in {args.registry}")

@@ -10,8 +10,8 @@ from typing import TYPE_CHECKING
 from repro.cli._common import (
     _add_fault_args,
     _fault_policy,
-    _observers,
     _shutdown_coordinator,
+    _sinks,
     _tracing_scope,
 )
 from repro.errors import EXIT_OK, CheckpointError, ConfigurationError
@@ -25,12 +25,11 @@ _NO_MATRIX = (
 )
 
 
-def _build_orchestrator(args, stop_check) -> tuple:
-    """(orchestrator, jsonl observer) from the run flags."""
+def _build_orchestrator(args, stop_check):
+    """The fleet orchestrator the run flags describe."""
     from repro.fleet.matrix import ScenarioMatrix, load_spec
     from repro.fleet.orchestrator import FleetOrchestrator
 
-    observers, jsonl = _observers(args)
     supervision = {
         "shard_timeout_s": args.shard_timeout,
         "shard_retries": args.shard_retries,
@@ -39,14 +38,12 @@ def _build_orchestrator(args, stop_check) -> tuple:
     if args.max_pool_rebuilds is not None:
         supervision["max_pool_rebuilds"] = args.max_pool_rebuilds
     if args.resume is not None:
-        orchestrator = FleetOrchestrator.resume(
+        return FleetOrchestrator.resume(
             args.resume,
             workers=args.workers,
-            observers=observers,
             registry_dir=args.registry,
             **supervision,
         )
-        return orchestrator, jsonl
     options: dict = {}
     if args.spec is not None:
         matrix, options = load_spec(args.spec)
@@ -63,32 +60,29 @@ def _build_orchestrator(args, stop_check) -> tuple:
     registry = args.registry
     if registry is None and options.get("registry"):
         registry = str(options["registry"])
-    orchestrator = FleetOrchestrator(
+    return FleetOrchestrator(
         matrix,
         args.dir,
         workers=workers,
         qualify=args.qualify or bool(options.get("qualify", False)),
         failure_voltage=failure_voltage,
         fault_policy=_fault_policy(args),
-        observers=observers,
         registry_dir=registry,
         **supervision,
     )
-    return orchestrator, jsonl
 
 
 def cmd_fleet_run(args) -> int:
     from repro.fleet.report import REPORT_FILE
 
-    coordinator = _shutdown_coordinator(args, [])
-    orchestrator, jsonl = _build_orchestrator(args, coordinator.stop_requested)
-    coordinator.observers.extend(orchestrator.observers)
+    sinks, jsonl = _sinks(args)
+    coordinator = _shutdown_coordinator(args)
+    orchestrator = _build_orchestrator(args, coordinator.stop_requested)
     scenarios = len(orchestrator.scenarios)
     workers = orchestrator.workers
     print(f"fleet: {scenarios} scenario(s), {workers} worker(s) -> {orchestrator.fleet_dir}")
-    observers = list(orchestrator.observers)
     try:
-        with _tracing_scope(args, observers), coordinator:
+        with _tracing_scope(args, sinks), coordinator:
             report = orchestrator.run()
     finally:
         if jsonl is not None:

@@ -6,9 +6,9 @@ from repro.cli import _common
 from repro.cli._common import (
     _add_registry_args,
     _add_telemetry_args,
-    _observers,
     _platform_factory,
     _publish_record,
+    _sinks,
     _tracing_scope,
 )
 from repro.core.telemetry import TelemetryCollector
@@ -40,9 +40,9 @@ def cmd_qualify(args) -> int:
         supply_points=args.supply_points,
         pdn_tolerance=args.pdn_tolerance,
     )
-    observers, jsonl = _observers(args)
+    sinks, jsonl = _sinks(args)
     collector = TelemetryCollector()
-    observers.append(collector)
+    sinks.append(collector)
     executor = make_executor(args.workers)
     checkpoint = (QualificationCheckpoint(args.checkpoint_dir)
                   if args.checkpoint_dir else None)
@@ -51,33 +51,32 @@ def cmd_qualify(args) -> int:
         threads=args.threads,
         config=config,
         executor=executor,
-        observers=observers,
         platform_factory=_platform_factory(args.chip),
         checkpoint=checkpoint,
     )
     try:
-        with _tracing_scope(args, observers):
+        with _tracing_scope(args, sinks):
             report = qualifier.qualify_program(program, name=args.stressmark)
+            print(report.summary_table())
+            print(f"\nverdict: {report.verdict} "
+                  f"(robustness {report.robustness:.2f}, "
+                  f"{report.evaluations} evaluations, "
+                  f"{report.cache_hits} cache hits, {report.wall_s:.1f}s)")
+            if args.registry is not None:
+                from repro.registry.provenance import platform_descriptor, provenance_stamp
+                from repro.registry.record import record_from_qualification
+
+                record = record_from_qualification(
+                    report,
+                    platform=platform,
+                    descriptor=platform_descriptor(args.chip),
+                    provenance=provenance_stamp(campaign=args.registry_campaign),
+                )
+                _publish_record(args, record)
     finally:
         executor.close()
         if jsonl is not None:
             jsonl.close()
-    print(report.summary_table())
-    print(f"\nverdict: {report.verdict} "
-          f"(robustness {report.robustness:.2f}, "
-          f"{report.evaluations} evaluations, "
-          f"{report.cache_hits} cache hits, {report.wall_s:.1f}s)")
-    if args.registry is not None:
-        from repro.registry.provenance import platform_descriptor, provenance_stamp
-        from repro.registry.record import record_from_qualification
-
-        record = record_from_qualification(
-            report,
-            platform=platform,
-            descriptor=platform_descriptor(args.chip),
-            provenance=provenance_stamp(campaign=args.registry_campaign),
-        )
-        _publish_record(args, record, observers)
     if args.telemetry:
         print("\n" + collector.summary_table(platform.metrics))
     return EXIT_OK

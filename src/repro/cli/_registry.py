@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.analysis.report import format_table
-from repro.cli._common import _observers
+from repro.cli._common import _sinks, _tracing_scope
 from repro.errors import EXIT_FAILURE, EXIT_OK, RegistryError
 
 _COMPARE_HELP = (
@@ -13,10 +13,10 @@ _COMPARE_HELP = (
 )
 
 
-def _registry(args, observers=()):
+def _registry(args):
     from repro.registry.store import StressmarkRegistry
 
-    return StressmarkRegistry(args.dir, observers=observers)
+    return StressmarkRegistry(args.dir)
 
 
 def _entry_rows(entries) -> list[list[str]]:
@@ -83,15 +83,15 @@ def cmd_registry_query(args) -> int:
 
 
 def cmd_registry_verify(args) -> int:
-    observers, jsonl = _observers(args)
-    registry = _registry(args, observers)
+    sinks, jsonl = _sinks(args)
     try:
         from repro.registry.verify import verify_record
 
-        record = registry.get(args.ref)
-        print(f"verifying {record.record_id[:12]} ({record.kind}/{record.name}, "
-              f"{record.platform.get('chip')}, {record.threads}T)")
-        result = verify_record(record, observers=observers)
+        with _tracing_scope(args, sinks):
+            record = _registry(args).get(args.ref)
+            print(f"verifying {record.record_id[:12]} ({record.kind}/{record.name}, "
+                  f"{record.platform.get('chip')}, {record.threads}T)")
+            result = verify_record(record)
     finally:
         if jsonl is not None:
             jsonl.close()
@@ -129,14 +129,12 @@ def cmd_registry_compare(args) -> int:
 
 
 def cmd_registry_export(args) -> int:
-    observers, jsonl = _observers(args)
-    registry = _registry(args, observers)
+    sinks, jsonl = _sinks(args)
     try:
         from repro.registry.archive import export_records
 
-        exported = export_records(
-            registry, args.out, refs=args.id or None, observers=observers,
-        )
+        with _tracing_scope(args, sinks):
+            exported = export_records(_registry(args), args.out, refs=args.id or None)
     finally:
         if jsonl is not None:
             jsonl.close()
@@ -145,12 +143,12 @@ def cmd_registry_export(args) -> int:
 
 
 def cmd_registry_import(args) -> int:
-    observers, jsonl = _observers(args)
-    registry = _registry(args, observers)
+    sinks, jsonl = _sinks(args)
     try:
         from repro.registry.archive import import_archive
 
-        outcome = import_archive(registry, args.archive, observers=observers)
+        with _tracing_scope(args, sinks):
+            outcome = import_archive(_registry(args), args.archive)
     finally:
         if jsonl is not None:
             jsonl.close()

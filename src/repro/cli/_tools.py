@@ -6,8 +6,8 @@ from repro.analysis.report import format_table
 from repro.cli import _common
 from repro.cli._common import (
     _add_telemetry_args,
-    _observers,
     _platform_factory,
+    _sinks,
     _tracing_scope,
 )
 from repro.core.telemetry import TelemetryCollector
@@ -44,9 +44,9 @@ def cmd_bench_evals(args) -> int:
     from repro.core.ga import GaConfig
 
     platform = _common._platform(args.chip)
-    observers, jsonl = _observers(args)
+    sinks, jsonl = _sinks(args)
     collector = TelemetryCollector()
-    observers.append(collector)
+    sinks.append(collector)
     executor = make_executor(args.workers)
     config = AuditConfig(
         threads=args.threads,
@@ -58,11 +58,10 @@ def cmd_bench_evals(args) -> int:
         platform,
         config=config,
         executor=executor,
-        observers=observers,
         platform_factory=_platform_factory(args.chip),
     )
     try:
-        with _tracing_scope(args, observers):
+        with _tracing_scope(args, sinks):
             result = runner.run()
     finally:
         executor.close()

@@ -5,7 +5,7 @@
 * :class:`~repro.core.engine.EvaluationEngine` — batched, cached, observable
   genome fitness with serial/process-pool executors.
 * :class:`~repro.core.audit.AuditRunner` — the full Fig. 5 loop.
-* :mod:`~repro.core.telemetry` — run observers (console/JSONL/collector).
+* :mod:`~repro.core.telemetry` — event kinds and their sinks (console/JSONL/collector).
 * :mod:`~repro.core.dithering` — exact/approximate thread alignment.
 * :mod:`~repro.core.resonance` — automatic resonance detection.
 """

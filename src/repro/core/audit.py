@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import CampaignInterrupted, CheckpointError, SearchError
 from repro.isa.kernels import LoopKernel, ThreadProgram
@@ -35,13 +35,8 @@ from repro.core.qualify import (
     StressmarkQualifier,
 )
 from repro.core.resonance import ResonanceSweepResult, find_resonance
-from repro.core.telemetry import (
-    PlatformMetricsEvent,
-    RunObserver,
-    SupervisorEvent,
-    notify,
-)
-from repro.obs.spans import span
+from repro.core.telemetry import PlatformMetricsEvent, SupervisorEvent
+from repro.obs.spans import emit, span
 
 
 class StressmarkMode(str, Enum):
@@ -149,7 +144,6 @@ class AuditRunner:
         cost=None,
         config: AuditConfig | None = None,
         executor: FitnessExecutor | None = None,
-        observers: Sequence[RunObserver] = (),
         platform_factory: Callable[[], MeasurementPlatform] | None = None,
         fault_policy: FaultPolicy | None = None,
     ):
@@ -161,7 +155,6 @@ class AuditRunner:
         self.cost = cost or MaxDroopCost()
         self.config = config or AuditConfig()
         self.executor = executor
-        self.observers = tuple(observers)
         self.platform_factory = platform_factory
         self.fault_policy = fault_policy
 
@@ -230,7 +223,6 @@ class AuditRunner:
             threads=self.config.threads,
             cost=self.cost,
             executor=self.executor,
-            observers=self.observers,
             platform_factory=self.platform_factory,
             fault_policy=self.fault_policy,
         )
@@ -298,8 +290,7 @@ class AuditRunner:
         measure_platform = self.platform
         if self.fault_policy is not None:
             measure_platform = RetryingMeasurements(
-                self.platform, self.fault_policy,
-                observers=self.observers, label="closed-loop-measurement",
+                self.platform, self.fault_policy, label="closed-loop-measurement",
             )
         with span("audit.resonance-sweep") as phase:
             resonance = find_resonance(
@@ -331,7 +322,7 @@ class AuditRunner:
                     "one generation?)"
                 )
             if state.salvaged:
-                notify(self.observers, SupervisorEvent(
+                emit(SupervisorEvent(
                     action="salvage",
                     task=f"generation {state.ga.generation}",
                     detail=state.salvage_reason,
@@ -404,7 +395,7 @@ class AuditRunner:
                 ))
         metrics = getattr(self.platform, "metrics", None)
         if metrics is not None:
-            notify(self.observers, PlatformMetricsEvent(
+            emit(PlatformMetricsEvent(
                 counters=metrics.counters(), source="audit",
             ))
         return AuditResult(
@@ -445,7 +436,6 @@ class AuditRunner:
             config=config,
             cost=self.cost,
             executor=self.executor,
-            observers=self.observers,
             platform_factory=self.platform_factory,
             fault_policy=self.fault_policy,
             checkpoint=checkpoint,

@@ -7,9 +7,11 @@ becomes an instrumented service instead of an inline call — which is what
 this module provides:
 
 * :class:`EvaluationEngine` owns the genome → program → measurement → cost
-  pipeline, memoises fitness by genome, evaluates whole batches
-  (``evaluate_many``), and emits :class:`~repro.core.telemetry.EvaluationEvent`
-  telemetry through any registered observers.
+  pipeline, memoises fitness by genome and evaluates whole batches
+  (``evaluate_many``).  Each call is one ``engine.evaluate_batch`` span
+  whose ``size`` (fresh genomes), ``hits`` (cache-served requests) and
+  ``eval_wall_s`` attributes are the engine's telemetry; faults go out as
+  :class:`~repro.core.telemetry.FaultEvent` through the installed tracer.
 * Executors are pluggable: :class:`SerialExecutor` (default — deterministic,
   shares the in-process platform and all its caches) and the process pool
   :class:`~repro.supervision.executor.SupervisedExecutor` (one GA
@@ -39,15 +41,9 @@ from repro.core.cost import MaxDroopCost
 from repro.core.faults import EvalOutcome, FaultPolicy, FaultRecord, GuardedFitness
 from repro.core.platform import MeasurementPlatform
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import TracedTask, current_tracer, span
+from repro.obs.spans import TracedTask, current_tracer, emit, span
 from repro.pipeline.artifacts import MeasureRequest
-from repro.core.telemetry import (
-    EvaluationEvent,
-    FaultEvent,
-    InvariantEvent,
-    RunObserver,
-    notify,
-)
+from repro.core.telemetry import FaultEvent, InvariantEvent
 from repro.errors import ConfigurationError
 
 G = TypeVar("G", bound=Hashable)
@@ -83,7 +79,6 @@ def make_executor(
     *,
     hard_timeout_s: float | None = None,
     max_pool_rebuilds: int | None = None,
-    observers: Sequence[RunObserver] = (),
 ) -> FitnessExecutor:
     """The campaign executor: serial in-process, or a supervised pool.
 
@@ -108,7 +103,6 @@ def make_executor(
         max_pool_rebuilds=(
             DEFAULT_MAX_POOL_REBUILDS if max_pool_rebuilds is None else max_pool_rebuilds
         ),
-        observers=observers,
     )
 
 
@@ -283,13 +277,11 @@ class EvaluationEngine(Generic[G]):
         fitness: Callable[[G], float],
         *,
         executor: FitnessExecutor | None = None,
-        observers: Sequence[RunObserver] = (),
         platform: MeasurementPlatform | None = None,
         fault_policy: FaultPolicy | None = None,
     ):
         self.fitness = fitness
         self.executor = executor if executor is not None else SerialExecutor()
-        self.observers = tuple(observers)
         self.platform = platform
         self.fault_policy = fault_policy
         self._cache: dict[G, float] = {}
@@ -310,7 +302,6 @@ class EvaluationEngine(Generic[G]):
         threads: int,
         cost=None,
         executor: FitnessExecutor | None = None,
-        observers: Sequence[RunObserver] = (),
         platform_factory: Callable[[], MeasurementPlatform] | None = None,
         iterations: int = DEFAULT_ITERATIONS,
         fault_policy: FaultPolicy | None = None,
@@ -325,7 +316,7 @@ class EvaluationEngine(Generic[G]):
             iterations=iterations,
         )
         return cls(
-            fitness, executor=executor, observers=observers, platform=platform,
+            fitness, executor=executor, platform=platform,
             fault_policy=fault_policy,
         )
 
@@ -353,52 +344,27 @@ class EvaluationEngine(Generic[G]):
         """Fitness for each genome, in request order.
 
         Unseen genomes are deduplicated and dispatched to the executor as
-        one batch; everything else is served from the genome cache.
+        one batch; everything else is served from the genome cache.  The
+        call is one ``engine.evaluate_batch`` span: ``size`` fresh
+        genomes, ``hits`` requests served from the cache, and
+        ``eval_wall_s``, the fresh genomes' summed evaluation time.
         """
         genomes = list(genomes)
-        fresh: list[G] = []
-        seen: set[G] = set()
-        for genome in genomes:
-            if genome not in self._cache and genome not in seen:
-                fresh.append(genome)
-                seen.add(genome)
-        if fresh:
-            with span("engine.evaluate_batch", size=len(fresh),
-                      backend=self.executor.name):
+        if not genomes:
+            return []
+        fresh = list(dict.fromkeys(g for g in genomes if g not in self._cache))
+        hits = len(genomes) - len(fresh)
+        with span("engine.evaluate_batch", backend=self.executor.name) as batch:
+            eval_wall_s = 0.0
+            if fresh:
                 outcomes = self._evaluate_fresh(fresh)
-            for genome, outcome in zip(fresh, outcomes):
-                value = self._record_outcome(genome, outcome)
-                self._cache[genome] = value
-                self.evaluations += 1
-                notify(
-                    self.observers,
-                    EvaluationEvent(
-                        genome=_genome_label(genome),
-                        fitness=value,
-                        wall_s=outcome.wall_s,
-                        cached=False,
-                        backend=self.executor.name,
-                    ),
-                )
-        out: list[float] = []
-        for genome in genomes:
-            value = self._cache[genome]
-            if genome in seen:
-                seen.discard(genome)  # the one request that paid for it
-            else:
-                self.cache_hits += 1
-                notify(
-                    self.observers,
-                    EvaluationEvent(
-                        genome=_genome_label(genome),
-                        fitness=value,
-                        wall_s=0.0,
-                        cached=True,
-                        backend=self.executor.name,
-                    ),
-                )
-            out.append(value)
-        return out
+                for genome, outcome in zip(fresh, outcomes):
+                    self._cache[genome] = self._record_outcome(genome, outcome)
+                    eval_wall_s += outcome.wall_s
+                self.evaluations += len(fresh)
+            self.cache_hits += hits
+            batch.set(size=len(fresh), hits=hits, eval_wall_s=eval_wall_s)
+        return [self._cache[genome] for genome in genomes]
 
     # ------------------------------------------------------------------
     def _evaluate_fresh(self, fresh: Sequence[G]) -> list:
@@ -415,7 +381,7 @@ class EvaluationEngine(Generic[G]):
         and, under an active tracer, the ``worker.eval`` (+ pipeline)
         spans it recorded (:class:`~repro.obs.spans.TracedTask`).  Both
         re-enter the parent here: the counters merge into the engine
-        platform's registry, the spans into the ordinary observer chain.
+        platform's registry, the spans into the installed tracer.
         """
         batch_eval = getattr(self.fitness, "evaluate_batch", None)
         if batch_eval is not None and self.fault_policy is None and not self._pooled:
@@ -493,25 +459,19 @@ class EvaluationEngine(Generic[G]):
         for i, fault in enumerate(outcome.faults):
             final_failure = outcome.exhausted and i == len(outcome.faults) - 1
             if fault.invariant:
-                notify(
-                    self.observers,
-                    InvariantEvent(
-                        guard=fault.invariant,
-                        layer=fault.layer,
-                        error=fault.error,
-                        genome=label,
-                    ),
-                )
-            notify(
-                self.observers,
-                FaultEvent(
-                    genome=label,
+                emit(InvariantEvent(
+                    guard=fault.invariant,
+                    layer=fault.layer,
                     error=fault.error,
-                    attempt=i + 1,
-                    action="quarantine" if final_failure else "retry",
-                    timeout=fault.timeout,
-                ),
-            )
+                    genome=label,
+                ))
+            emit(FaultEvent(
+                genome=label,
+                error=fault.error,
+                attempt=i + 1,
+                action="quarantine" if final_failure else "retry",
+                timeout=fault.timeout,
+            ))
         if outcome.exhausted:
             self.quarantines += 1
             self.quarantined.add(genome)

@@ -151,7 +151,7 @@ class EvalOutcome:
     """Closed :class:`~repro.core.telemetry.SpanEvent` records this
     evaluation produced in a pool worker (set by
     :class:`~repro.obs.spans.TracedTask` when tracing is active); the
-    engine re-emits them into the parent's observer chain so the JSONL
+    engine re-emits them to the parent's installed tracer so the JSONL
     trace stays one coherent tree."""
 
     @property
@@ -247,11 +247,10 @@ class RetryingMeasurements:
     (``chip``, ``metrics`` …) passes through.
     """
 
-    def __init__(self, platform, policy: FaultPolicy, *, observers=(),
+    def __init__(self, platform, policy: FaultPolicy, *,
                  label: str = "measurement"):
         self._platform = platform
         self._policy = policy
-        self._observers = tuple(observers)
         self._label = label
 
     def __getattr__(self, name):
@@ -274,17 +273,18 @@ class RetryingMeasurements:
         ]
 
     def _retry(self, measure):
-        from repro.core.telemetry import FaultEvent, InvariantEvent, notify
+        from repro.core.telemetry import FaultEvent, InvariantEvent
+        from repro.obs.spans import emit
 
         def on_fault(error, attempt, final):
             if isinstance(error, InvariantViolation):
-                notify(self._observers, InvariantEvent(
+                emit(InvariantEvent(
                     guard=error.guard,
                     layer=error.layer,
                     error=str(error),
                     genome=self._label,
                 ))
-            notify(self._observers, FaultEvent(
+            emit(FaultEvent(
                 genome=self._label,
                 error=f"{type(error).__name__}: {error}",
                 attempt=attempt,

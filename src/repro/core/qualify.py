@@ -35,7 +35,7 @@ import pickle
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,15 +51,10 @@ from repro.core.engine import (
 )
 from repro.core.faults import EvalOutcome, FaultPolicy
 from repro.core.platform import MeasurementPlatform
-from repro.core.telemetry import (
-    PlatformMetricsEvent,
-    QualificationEvent,
-    RunObserver,
-    notify,
-)
+from repro.core.telemetry import PlatformMetricsEvent
 from repro.errors import CheckpointError, ConfigurationError
 from repro.isa.kernels import ThreadProgram
-from repro.obs.spans import span
+from repro.obs.spans import emit, span
 from repro.pipeline.artifacts import MeasureRequest
 from repro.pipeline.pipeline import MeasurementPipeline
 
@@ -556,7 +551,6 @@ class StressmarkQualifier:
         config: QualifyConfig | None = None,
         cost=None,
         executor: FitnessExecutor | None = None,
-        observers: Sequence[RunObserver] = (),
         platform_factory: Callable[[], MeasurementPlatform] | None = None,
         fault_policy: FaultPolicy | None = None,
         checkpoint: QualificationCheckpoint | None = None,
@@ -566,7 +560,6 @@ class StressmarkQualifier:
         self.config = config if config is not None else QualifyConfig()
         self.cost = cost
         self.executor = executor if executor is not None else SerialExecutor()
-        self.observers = tuple(observers)
         self.platform_factory = platform_factory
         self.fault_policy = fault_policy
         self.checkpoint = checkpoint
@@ -636,9 +629,22 @@ class StressmarkQualifier:
     def qualify_program(
         self, program: ThreadProgram, *, name: str = "stressmark"
     ) -> QualificationReport:
-        """Measure *program* across every axis and render the verdict."""
-        with span("qualify.stressmark", stressmark=name, threads=self.threads):
-            return self._qualify_program(program, name=name)
+        """Measure *program* across every axis and render the verdict.
+
+        The ``qualify.stressmark`` span carries the ``verdict``,
+        ``robustness`` and ``samples`` (requests served); each axis is a
+        ``qualify.axis`` span carrying its ``samples``, ``min_droop_v``,
+        ``max_droop_v`` and ``retention``.
+        """
+        with span("qualify.stressmark", stressmark=name,
+                  threads=self.threads) as qualified:
+            report = self._qualify_program(program, name=name)
+            qualified.set(
+                verdict=report.verdict,
+                robustness=report.robustness,
+                samples=report.evaluations + report.cache_hits,
+            )
+        return report
 
     def _qualify_program(
         self, program: ThreadProgram, *, name: str
@@ -654,7 +660,6 @@ class StressmarkQualifier:
         engine = EvaluationEngine(
             fitness,
             executor=self.executor,
-            observers=self.observers,
             platform=self.platform,
             fault_policy=self.fault_policy,
         )
@@ -666,26 +671,20 @@ class StressmarkQualifier:
 
         axes = []
         for axis_name, perturbations in self.perturbation_axes():
-            axis_start = time.perf_counter()
             with span("qualify.axis", axis=axis_name,
-                      samples=len(perturbations)):
-                droops = engine.evaluate_many(perturbations)
-            dist = AxisDistribution(
-                axis=axis_name,
-                labels=tuple(p.label for p in perturbations),
-                droops=tuple(droops),
-                nominal_droop_v=nominal,
-            )
+                      samples=len(perturbations)) as axis_span:
+                dist = AxisDistribution(
+                    axis=axis_name,
+                    labels=tuple(p.label for p in perturbations),
+                    droops=tuple(engine.evaluate_many(perturbations)),
+                    nominal_droop_v=nominal,
+                )
+                axis_span.set(
+                    min_droop_v=dist.min_droop_v,
+                    max_droop_v=dist.max_droop_v,
+                    retention=dist.retention,
+                )
             axes.append(dist)
-            notify(self.observers, QualificationEvent(
-                stressmark=name,
-                axis=axis_name,
-                samples=len(droops),
-                min_droop_v=dist.min_droop_v,
-                max_droop_v=dist.max_droop_v,
-                retention=dist.retention,
-                wall_s=time.perf_counter() - axis_start,
-            ))
             if self.checkpoint is not None:
                 self.checkpoint.save(
                     stressmark=name,
@@ -696,19 +695,9 @@ class StressmarkQualifier:
         robustness = min(dist.retention for dist in axes)
         verdict = self._verdict(nominal, robustness)
         wall = time.perf_counter() - start
-        notify(self.observers, QualificationEvent(
-            stressmark=name,
-            axis="verdict",
-            samples=engine.evaluations + engine.cache_hits,
-            min_droop_v=nominal,
-            max_droop_v=nominal,
-            retention=robustness,
-            verdict=verdict,
-            wall_s=wall,
-        ))
         metrics = getattr(self.platform, "metrics", None)
         if metrics is not None:
-            notify(self.observers, PlatformMetricsEvent(
+            emit(PlatformMetricsEvent(
                 counters=metrics.counters(), source="qualify",
             ))
         return QualificationReport(

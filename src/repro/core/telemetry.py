@@ -3,19 +3,24 @@
 On the paper's testbed every fitness call is a multi-second oscilloscope
 capture, so knowing *where the time goes* is the difference between an
 overnight run and a week.  The reproduction keeps the same discipline:
-anything with a duration — a loop phase, a GA generation, a checkpoint
-write, a pipeline stage — is a trace span (:mod:`repro.obs.spans`) whose
-attributes carry what happened, and the remaining event kinds record
-point-in-time results (an evaluation scored, a fault, a shard finished).
-Both reach observers through the :class:`RunObserver` protocol; the
-measurement platform keeps aggregate counters (simulator vs. PDN-solve
-time, cache hits, measurement path taken) in its own registry.
+anything with a duration — a loop phase, a GA generation, an evaluation
+batch, a qualification axis, a checkpoint write, a pipeline stage — is a
+trace span (:mod:`repro.obs.spans`) whose attributes carry what happened,
+and the remaining event kinds record point-in-time results (a fault, a
+supervisor action, a shard finished, a registry publish).
 
-Observers are deliberately dumb sinks: :class:`ConsoleObserver` narrates
-progress, :class:`JsonlObserver` appends machine-readable lines, and
-:class:`TelemetryCollector` folds the stream into a
-:class:`~repro.obs.metrics.MetricsRegistry` whose rendering is the
-end-of-run summary printed by ``repro bench-evals``.
+Every event takes one path: code calls :func:`repro.obs.spans.span` or
+:func:`repro.obs.spans.emit`, and the installed
+:class:`~repro.obs.spans.Tracer` hands the event to its sinks.  With no
+tracer installed an event goes nowhere.  The measurement platform keeps
+aggregate counters (simulator vs. PDN-solve time, cache hits,
+measurement path taken) in its own registry.
+
+Sinks are deliberately dumb (:class:`RunObserver`):
+:class:`ConsoleObserver` narrates progress, :class:`JsonlObserver`
+appends machine-readable lines, and :class:`TelemetryCollector` folds the
+stream into a :class:`~repro.obs.metrics.MetricsRegistry` whose rendering
+is the end-of-run summary printed by ``repro bench-evals``.
 """
 
 from __future__ import annotations
@@ -35,19 +40,6 @@ if TYPE_CHECKING:
 # ----------------------------------------------------------------------
 # Events
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EvaluationEvent:
-    """One genome scored by the evaluation engine."""
-
-    genome: str
-    fitness: float
-    wall_s: float
-    cached: bool
-    backend: str
-
-    kind = "evaluation"
-
-
 @dataclass(frozen=True)
 class FaultEvent:
     """One failed evaluation attempt (retried or quarantined)."""
@@ -152,26 +144,6 @@ class FleetEvent:
 
 
 @dataclass(frozen=True)
-class QualificationEvent:
-    """One qualification step: a perturbation axis scored, or the verdict."""
-
-    stressmark: str
-    axis: str
-    """Perturbation axis (``jitter``/``smt``/``supply``/``pdn``) or
-    ``"verdict"`` for the final summary event."""
-    samples: int
-    min_droop_v: float
-    max_droop_v: float
-    retention: float
-    """Worst droop retention on this axis relative to nominal (1.0 = the
-    droop survives the perturbation unchanged)."""
-    verdict: str = ""
-    wall_s: float = 0.0
-
-    kind = "qualification"
-
-
-@dataclass(frozen=True)
 class RegistryEvent:
     """One stressmark-registry operation.
 
@@ -223,9 +195,8 @@ class SpanEvent:
 
 
 TelemetryEvent = (
-    EvaluationEvent | FaultEvent | InvariantEvent | QualificationEvent
-    | PlatformMetricsEvent | ShardEvent | FleetEvent | SupervisorEvent
-    | RegistryEvent | SpanEvent
+    FaultEvent | InvariantEvent | PlatformMetricsEvent | ShardEvent
+    | FleetEvent | SupervisorEvent | RegistryEvent | SpanEvent
 )
 
 #: Every concrete event class, keyed by its ``kind`` tag.  The telemetry
@@ -235,9 +206,8 @@ TelemetryEvent = (
 EVENT_TYPES: dict = {
     cls.kind: cls
     for cls in (
-        EvaluationEvent, FaultEvent, InvariantEvent, QualificationEvent,
-        PlatformMetricsEvent, ShardEvent, FleetEvent, SupervisorEvent,
-        RegistryEvent, SpanEvent,
+        FaultEvent, InvariantEvent, PlatformMetricsEvent, ShardEvent,
+        FleetEvent, SupervisorEvent, RegistryEvent, SpanEvent,
     )
 }
 
@@ -287,109 +257,62 @@ class RunObserver(Protocol):
 
 
 class ConsoleObserver:
-    """Narrates generations and phases to a stream (evaluations if verbose)."""
+    """Narrates generations, phases, qualification and faults to a stream."""
 
-    def __init__(self, stream: IO[str] | None = None, *, verbose: bool = False):
+    def __init__(self, stream: IO[str] | None = None):
         self.stream = stream if stream is not None else sys.stderr
-        self.verbose = verbose
 
     def on_event(self, event: TelemetryEvent) -> None:
+        line = None
         if isinstance(event, FaultEvent):
-            # Quarantines always narrate (a genome just lost its fitness);
-            # transient retried faults only in verbose mode.
-            if event.action == "quarantine" or self.verbose:
-                self.stream.write(
-                    f"[fault/{event.action}] attempt {event.attempt}: "
-                    f"{event.error}\n"
-                )
+            # A quarantine narrates (a genome just lost its fitness); a
+            # retried transient fault stays quiet.
+            if event.action == "quarantine":
+                line = f"[fault/{event.action}] attempt {event.attempt}: {event.error}"
         elif isinstance(event, InvariantEvent):
-            self.stream.write(
-                f"[invariant/{event.layer}] {event.guard}: {event.error}\n"
-            )
-        elif isinstance(event, QualificationEvent):
-            if event.axis == "verdict":
-                self.stream.write(
-                    f"[qualify] {event.stressmark}: {event.verdict} "
-                    f"(robustness {event.retention:.2f})  {event.wall_s:.2f}s\n"
-                )
-            else:
-                self.stream.write(
-                    f"[qualify/{event.axis}] {event.samples} samples  droop "
-                    f"[{event.min_droop_v * 1e3:.2f}, "
-                    f"{event.max_droop_v * 1e3:.2f}] mV  "
-                    f"retention {event.retention:.2f}\n"
-                )
+            line = f"[invariant/{event.layer}] {event.guard}: {event.error}"
         elif isinstance(event, SupervisorEvent):
             # Supervision actions always narrate: a killed worker or a
             # salvaged checkpoint is exactly what an unattended-run log
             # must explain.
             task = f" {event.task}" if event.task else ""
             detail = f": {event.detail}" if event.detail else ""
-            self.stream.write(
-                f"[supervisor/{event.action}]{task}{detail}\n"
-            )
+            line = f"[supervisor/{event.action}]{task}{detail}"
         elif isinstance(event, RegistryEvent):
-            # Publishes and salvages always narrate — a record entering
-            # the library (or an index being rebuilt) is the registry's
-            # whole story; dedups only in verbose mode.
-            if event.deduped and not self.verbose:
-                pass
-            else:
+            # A record entering the library (or an index being rebuilt)
+            # is the registry's whole story; a dedup changes nothing.
+            if not event.deduped:
                 record = f" {event.record_id[:12]}" if event.record_id else ""
-                dup = " (already published)" if event.deduped else ""
                 detail = f": {event.detail}" if event.detail else ""
-                self.stream.write(
-                    f"[registry/{event.action}]{record}{dup}{detail}\n"
-                )
+                line = f"[registry/{event.action}]{record}{detail}"
         elif isinstance(event, ShardEvent):
-            if event.status == "failed":
-                self.stream.write(
-                    f"[shard] {event.scenario}: FAILED (exit "
-                    f"{event.exit_code}) {event.error}\n"
-                )
-            elif event.status == "ok":
-                self.stream.write(
-                    f"[shard] {event.scenario}: "
-                    f"{event.droop_v * 1e3:.1f} mV  "
-                    f"{event.evaluations} evals  {event.wall_s:.1f}s\n"
-                )
-            elif event.status == "banked":
-                self.stream.write(
-                    f"[shard] {event.scenario}: banked "
-                    f"({event.droop_v * 1e3:.1f} mV)\n"
-                )
-            elif self.verbose:
-                self.stream.write(f"[shard] {event.scenario}: started\n")
+            line = self._shard_line(event)
         elif isinstance(event, FleetEvent):
             failed = f", {event.failed} failed" if event.failed else ""
             detail = f"  ({event.detail})" if event.detail else ""
-            self.stream.write(
-                f"[fleet] {event.done}/{event.total} shards done{failed}, "
-                f"{event.running} running  {event.wall_s:.1f}s{detail}\n"
-            )
-        elif isinstance(event, PlatformMetricsEvent):
-            if self.verbose:
-                source = f" ({event.source})" if event.source else ""
-                self.stream.write(
-                    f"[platform-stats]{source} "
-                    f"{event.counters.get('pipeline.measurements', 0)} "
-                    f"measurements\n"
-                )
-        elif self.verbose and isinstance(event, EvaluationEvent):
-            tag = "cache" if event.cached else event.backend
-            self.stream.write(
-                f"[eval/{tag}] {event.fitness:.5f}  {event.wall_s * 1e3:.1f}ms\n"
-            )
+            line = (f"[fleet] {event.done}/{event.total} shards done{failed}, "
+                    f"{event.running} running  {event.wall_s:.1f}s{detail}")
         elif isinstance(event, SpanEvent):
             line = self._span_line(event)
-            # Lost spans always narrate (a worker died holding them);
-            # other span closures only in verbose mode.
-            if line is None and (event.status == "lost" or self.verbose):
+            # Lost spans always narrate: a worker died holding them.
+            if line is None and event.status == "lost":
                 line = (f"[span/{event.status}] {event.name}  "
                         f"{event.wall_s * 1e3:.1f}ms")
-            if line is not None:
-                self.stream.write(line + "\n")
-        self.stream.flush()
+        if line is not None:
+            self.stream.write(line + "\n")
+            self.stream.flush()
+
+    @staticmethod
+    def _shard_line(event: ShardEvent) -> str | None:
+        if event.status == "failed":
+            return (f"[shard] {event.scenario}: FAILED (exit "
+                    f"{event.exit_code}) {event.error}")
+        if event.status == "ok":
+            return (f"[shard] {event.scenario}: {event.droop_v * 1e3:.1f} mV  "
+                    f"{event.evaluations} evals  {event.wall_s:.1f}s")
+        if event.status == "banked":
+            return f"[shard] {event.scenario}: banked ({event.droop_v * 1e3:.1f} mV)"
+        return None
 
     def _span_line(self, event: SpanEvent) -> str | None:
         """The progress line a finished span narrates, if it has one.
@@ -411,6 +334,18 @@ class ConsoleObserver:
                 f"[checkpoint] gen {attrs['generation']:3d} -> {attrs['path']}  "
                 f"{event.wall_s * 1e3:.1f}ms"
             )
+        if event.name == "qualify.axis" and "retention" in attrs:
+            return (
+                f"[qualify/{attrs['axis']}] {attrs['samples']} samples  droop "
+                f"[{attrs['min_droop_v'] * 1e3:.2f}, "
+                f"{attrs['max_droop_v'] * 1e3:.2f}] mV  "
+                f"retention {attrs['retention']:.2f}"
+            )
+        if event.name == "qualify.stressmark" and "verdict" in attrs:
+            return (
+                f"[qualify] {attrs['stressmark']}: {attrs['verdict']} "
+                f"(robustness {attrs['robustness']:.2f})  {event.wall_s:.2f}s"
+            )
         phase = phase_of(event.name)
         if phase and "detail" in attrs:
             detail = f" ({attrs['detail']})" if attrs["detail"] else ""
@@ -418,14 +353,12 @@ class ConsoleObserver:
         stage = STAGE_SPANS.get(event.name)
         if stage is None or "path" not in attrs:
             return None
-        # Transient fallbacks and batched solves always narrate; routine
-        # stage timings only in verbose mode.
+        # Transient fallbacks and batched solves narrate; routine stage
+        # timings stay quiet.
         if attrs.get("fallback"):
             detail = f": {attrs['fallback']}"
         elif attrs.get("batched"):
             detail = f": {attrs['rows']} rows"
-        elif self.verbose:
-            detail = ""
         else:
             return None
         batched = " (batched)" if attrs.get("batched") else ""
@@ -437,7 +370,7 @@ class ConsoleObserver:
 class RecentEventsObserver:
     """Keeps the last *limit* events (as dicts) for crash reports.
 
-    The CLI installs one of these alongside the user-requested observers
+    The CLI installs one of these alongside the user-requested sinks
     so an unhandled exception can dump the tail of the event stream into
     ``crash_report.json`` — the flight recorder of a failed run.
     """
@@ -462,7 +395,7 @@ class JsonlObserver:
     ``flush_every`` batches writes: lines are buffered and flushed to the
     stream every N events (span-instrumented campaigns emit hundreds of
     events per generation, and a write+fsync per event is the single
-    biggest observer cost).  The buffer is drained by :meth:`flush`,
+    biggest sink cost).  The buffer is drained by :meth:`flush`,
     :meth:`close`, and — critically — by :class:`~repro.supervision
     .ShutdownCoordinator` when a SIGTERM / wall-clock drain begins, so
     the last generation's events survive a ``--max-wall-clock`` stop
@@ -513,9 +446,11 @@ class TelemetryCollector:
     (``engine.evaluations``, ``span.wall_s.audit.ga-search``,
     ``supervisor.hang-kill`` …).  Spans count by name, so the generation
     count is ``span.count.ga.generation`` and a phase's time is
-    ``span.wall_s.audit.<phase>``; stage spans add their attribute facts
-    (``stage.cache_hits.<stage>``, ``stage.fallbacks``,
-    ``stage.batched_solves``).  Collectors merge through the registry,
+    ``span.wall_s.audit.<phase>``.  Some spans add their attribute facts:
+    ``engine.evaluate_batch`` its ``size``/``hits``/``eval_wall_s`` (the
+    ``engine.*`` counters), the ``qualify.*`` spans their axes and
+    verdicts, and the stage spans ``stage.cache_hits.<stage>``,
+    ``stage.fallbacks`` and ``stage.batched_solves``.  Collectors merge through the registry,
     so per-worker or per-shard collectors fold together in any order.
     """
 
@@ -527,13 +462,7 @@ class TelemetryCollector:
 
     def on_event(self, event: TelemetryEvent) -> None:
         inc = self.metrics.inc
-        if isinstance(event, EvaluationEvent):
-            if event.cached:
-                inc("engine.cache_hits")
-            else:
-                inc("engine.evaluations")
-                inc("engine.eval_wall_s", event.wall_s)
-        elif isinstance(event, FaultEvent):
+        if isinstance(event, FaultEvent):
             inc("fault.quarantines" if event.action == "quarantine"
                 else "fault.retries")
             if event.timeout:
@@ -541,12 +470,6 @@ class TelemetryCollector:
         elif isinstance(event, InvariantEvent):
             inc("invariant.violations")
             inc(f"invariant.guard.{event.layer}/{event.guard}")
-        elif isinstance(event, QualificationEvent):
-            if event.axis == "verdict":
-                inc("qualify.wall_s", event.wall_s)
-                inc(f"qualify.verdict.{event.verdict}")
-            else:
-                inc("qualify.axes")
         elif isinstance(event, ShardEvent):
             if event.status in ("ok", "failed"):
                 inc("shard.done" if event.status == "ok" else "shard.failed")
@@ -572,9 +495,18 @@ class TelemetryCollector:
             inc(f"span.wall_s.{event.name}", event.wall_s)
             if event.status == "lost":
                 inc("span.lost")
+            attrs = event.attrs
+            if event.name == "engine.evaluate_batch" and "eval_wall_s" in attrs:
+                inc("engine.evaluations", attrs["size"])
+                inc("engine.cache_hits", attrs["hits"])
+                inc("engine.eval_wall_s", attrs["eval_wall_s"])
+            elif event.name == "qualify.axis" and "retention" in attrs:
+                inc("qualify.axes")
+            elif event.name == "qualify.stressmark" and "verdict" in attrs:
+                inc("qualify.wall_s", event.wall_s)
+                inc(f"qualify.verdict.{attrs['verdict']}")
             stage = STAGE_SPANS.get(event.name)
             if stage is not None:
-                attrs = event.attrs
                 if attrs.get("cache_hit"):
                     inc(f"stage.cache_hits.{stage}")
                 if attrs.get("fallback"):
@@ -746,8 +678,3 @@ def _platform_rows(metrics: MetricsRegistry) -> list:
         ))
     return rows
 
-
-def notify(observers, event: TelemetryEvent) -> None:
-    """Fan one event out to every observer (helper shared by emitters)."""
-    for observer in observers:
-        observer.on_event(event)

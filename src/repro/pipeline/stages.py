@@ -354,6 +354,7 @@ class PdnStage:
         total_current = np.full(length, idle_level)
         total_sens = np.zeros(length)
         rng = np.random.default_rng(self.jitter_seed)
+        columns = np.arange(period)
         for module, phase in active:
             energy, sens, _p = module.profile
             current = self.current_from_energy(
@@ -363,14 +364,11 @@ class PdnStage:
                 -self.jitter_step_cycles, self.jitter_step_cycles + 1, size=reps
             )
             offsets = phase + np.cumsum(steps)
-            module_current = np.concatenate(
-                [np.roll(current, int(off)) for off in offsets]
-            )
-            module_sens = np.concatenate(
-                [np.roll(sens, int(off)) for off in offsets]
-            )
-            total_current += module_current
-            np.maximum(total_sens, module_sens, out=total_sens)
+            # Repetition r is the period rolled by offsets[r]: one gather
+            # builds every repetition, element for element np.roll's copy.
+            rolled = (columns[None, :] - offsets[:, None]) % period
+            total_current += current[rolled].ravel()
+            np.maximum(total_sens, sens[rolled].ravel(), out=total_sens)
         return total_current, total_sens, float(total_current.mean())
 
     # ------------------------------------------------------------------

@@ -23,8 +23,9 @@ import time
 from dataclasses import dataclass
 
 from repro import package_version
-from repro.core.telemetry import RegistryEvent, notify
+from repro.core.telemetry import RegistryEvent
 from repro.errors import RegistryError
+from repro.obs.spans import emit
 from repro.registry.record import RegistryRecord
 from repro.registry.store import StressmarkRegistry
 
@@ -47,7 +48,7 @@ class ImportOutcome:
 
 
 def export_records(registry: StressmarkRegistry, out_path, *,
-                   refs=None, observers=()) -> list[str]:
+                   refs=None) -> list[str]:
     """Write the selected records (default: all) to *out_path*.
 
     Returns the exported record ids.
@@ -77,15 +78,14 @@ def export_records(registry: StressmarkRegistry, out_path, *,
         raise RegistryError(
             f"cannot write archive {out_path}: {error}"
         ) from error
-    notify(observers, RegistryEvent(
+    emit(RegistryEvent(
         action="export", path=str(out_path),
         detail=f"{len(records)} record(s)",
     ))
     return [record.record_id for record in records]
 
 
-def import_archive(registry: StressmarkRegistry, archive_path, *,
-                   observers=()) -> ImportOutcome:
+def import_archive(registry: StressmarkRegistry, archive_path) -> ImportOutcome:
     """Publish every record of *archive_path* into *registry*."""
     try:
         tar = tarfile.open(archive_path, "r:*")
@@ -122,7 +122,7 @@ def import_archive(registry: StressmarkRegistry, archive_path, *,
                     f"{len(missing)} record(s) absent from the archive "
                     f"(first: {str(missing[0])[:12]}…)"
                 )
-    notify(observers, RegistryEvent(
+    emit(RegistryEvent(
         action="import", path=str(archive_path),
         detail=f"{len(imported)} new, {len(deduped)} already present",
     ))

@@ -35,7 +35,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from repro.core.atomicio import append_jsonl, atomic_write_bytes, atomic_write_json
-from repro.core.telemetry import RegistryEvent, notify
+from repro.core.telemetry import RegistryEvent
+from repro.obs.spans import emit
 from repro.errors import CheckpointError, RegistryError
 from repro.registry.record import RegistryRecord
 
@@ -65,9 +66,8 @@ class PublishOutcome:
 class StressmarkRegistry:
     """A content-addressed stressmark library at *directory*."""
 
-    def __init__(self, directory, *, observers=()):
+    def __init__(self, directory):
         self.directory = Path(directory)
-        self.observers = tuple(observers)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             (self.directory / OBJECTS_DIR).mkdir(exist_ok=True)
@@ -165,7 +165,7 @@ class StressmarkRegistry:
             deduped=deduped,
             wall_s=time.perf_counter() - start,
         )
-        notify(self.observers, RegistryEvent(
+        emit(RegistryEvent(
             action="publish",
             record_id=record_id,
             path=str(path),
@@ -251,7 +251,7 @@ class StressmarkRegistry:
         detail = f"index rebuilt from {len(entries)} object(s)"
         if unreadable:
             detail += f" ({unreadable} unreadable object(s) skipped)"
-        notify(self.observers, RegistryEvent(
+        emit(RegistryEvent(
             action="salvage", path=str(self.index_path), detail=detail,
         ))
         return entries

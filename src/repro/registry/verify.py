@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 from repro.core.codegen import DEFAULT_ITERATIONS, genome_to_kernel
 from repro.core.genome import GenomeSpace, StressmarkGenome
-from repro.core.telemetry import RegistryEvent, notify
+from repro.core.telemetry import RegistryEvent
 from repro.errors import RegistryError
+from repro.obs.spans import emit
 from repro.isa.kernels import ThreadProgram
 from repro.isa.opcodes import default_table
 from repro.registry.provenance import build_platform, hash_platform
@@ -121,7 +122,7 @@ def rebuild_program(record: RegistryRecord, platform) -> ThreadProgram:
     )
 
 
-def verify_record(record: RegistryRecord, *, observers=()) -> VerifyResult:
+def verify_record(record: RegistryRecord) -> VerifyResult:
     """Re-run *record* through the measurement pipeline and compare."""
     start = time.perf_counter()
     platform = build_platform(record.platform)
@@ -136,7 +137,7 @@ def verify_record(record: RegistryRecord, *, observers=()) -> VerifyResult:
         platform_hash_rebuilt=rebuilt_hash,
         wall_s=time.perf_counter() - start,
     )
-    notify(observers, RegistryEvent(
+    emit(RegistryEvent(
         action="verify",
         record_id=record.record_id,
         detail=result.describe(),

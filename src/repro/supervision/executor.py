@@ -46,12 +46,13 @@ import os
 import signal
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.core.telemetry import RunObserver, SupervisorEvent, notify
+from repro.core.telemetry import SupervisorEvent
+from repro.obs.spans import emit
 from repro.errors import ConfigurationError, QuarantineExhaustedError, ReproError
 
 __all__ = [
@@ -179,7 +180,6 @@ class SupervisedExecutor:
         task_timeout_s: float | None = None,
         max_pool_rebuilds: int = DEFAULT_MAX_POOL_REBUILDS,
         crash_retries: int = 1,
-        observers: Sequence[RunObserver] = (),
         poll_s: float = POLL_S,
     ):
         if workers < 1:
@@ -196,7 +196,6 @@ class SupervisedExecutor:
         self.task_timeout_s = task_timeout_s
         self.max_pool_rebuilds = max_pool_rebuilds
         self.crash_retries = max(0, crash_retries)
-        self.observers = list(observers)
         self.poll_s = poll_s
         self.rebuilds = 0
         self._pool: ProcessPoolExecutor | None = None
@@ -214,12 +213,9 @@ class SupervisedExecutor:
         kill_pool_processes(self._pool)
         self._pool = None
         self.rebuilds += 1
-        notify(
-            self.observers,
-            SupervisorEvent(
-                action="respawn", detail=reason, respawns=self.rebuilds
-            ),
-        )
+        emit(SupervisorEvent(
+            action="respawn", detail=reason, respawns=self.rebuilds
+        ))
         if self.rebuilds > self.max_pool_rebuilds:
             raise SupervisionExhaustedError(
                 f"pool rebuilt {self.rebuilds} times (budget "
@@ -386,19 +382,16 @@ class SupervisedExecutor:
         innocents = self._condemn(inflight, on_result)
         for flight in hung_flights:
             wall = now - flight.started_at
-            notify(
-                self.observers,
-                SupervisorEvent(
-                    action="hang-kill",
-                    task=flight.key,
-                    detail=(
-                        f"no result after {wall:.1f}s "
-                        f"(deadline {self.task_timeout_s:.1f}s); "
-                        f"worker pool killed"
-                    ),
-                    wall_s=wall,
+            emit(SupervisorEvent(
+                action="hang-kill",
+                task=flight.key,
+                detail=(
+                    f"no result after {wall:.1f}s "
+                    f"(deadline {self.task_timeout_s:.1f}s); "
+                    f"worker pool killed"
                 ),
-            )
+                wall_s=wall,
+            ))
             on_result(flight.key, SupervisorFault(
                 kind="hang",
                 error=(
@@ -415,14 +408,11 @@ class SupervisedExecutor:
             wall_spent[flight.key] = (
                 wall_spent.get(flight.key, 0.0) + (now - flight.submitted_at)
             )
-            notify(
-                self.observers,
-                SupervisorEvent(
-                    action="requeue",
-                    task=flight.key,
-                    detail="in flight during a hang-kill; rescheduled",
-                ),
-            )
+            emit(SupervisorEvent(
+                action="requeue",
+                task=flight.key,
+                detail="in flight during a hang-kill; rescheduled",
+            ))
         (suspects if suspects else requeued).extendleft(reversed(innocents))
         self._kill_and_respawn(
             reason=f"{len(hung)} task(s) past the {self.task_timeout_s:.1f}s "
@@ -441,17 +431,14 @@ class SupervisedExecutor:
                 on_result(flight.key, _INTERRUPTED)
             return
         now = time.monotonic()
-        notify(
-            self.observers,
-            SupervisorEvent(
-                action="crash",
-                task=condemned[0].key if len(condemned) == 1 else "",
-                detail=(
-                    f"worker process died; {len(condemned)} in-flight "
-                    f"task(s) condemned"
-                ),
+        emit(SupervisorEvent(
+            action="crash",
+            task=condemned[0].key if len(condemned) == 1 else "",
+            detail=(
+                f"worker process died; {len(condemned)} in-flight "
+                f"task(s) condemned"
             ),
-        )
+        ))
         for flight in condemned:
             wall_spent[flight.key] = (
                 wall_spent.get(flight.key, 0.0) + (now - flight.submitted_at)
@@ -463,17 +450,14 @@ class SupervisedExecutor:
             key = flight.key
             strikes[key] = strikes.get(key, 0) + 1
             if strikes[key] > self.crash_retries:
-                notify(
-                    self.observers,
-                    SupervisorEvent(
-                        action="give-up",
-                        task=key,
-                        detail=(
-                            f"crashed the worker {strikes[key]} time(s); "
-                            f"handing to the caller"
-                        ),
+                emit(SupervisorEvent(
+                    action="give-up",
+                    task=key,
+                    detail=(
+                        f"crashed the worker {strikes[key]} time(s); "
+                        f"handing to the caller"
                     ),
-                )
+                ))
                 on_result(key, SupervisorFault(
                     kind="crash",
                     error=(
@@ -489,13 +473,10 @@ class SupervisedExecutor:
             # The culprit is unidentifiable: isolate everyone.  No strikes
             # for the innocent — they are simply replayed one at a time.
             for flight in condemned:
-                notify(
-                    self.observers,
-                    SupervisorEvent(
-                        action="requeue",
-                        task=flight.key,
-                        detail="condemned by a worker crash; isolating",
-                    ),
-                )
+                emit(SupervisorEvent(
+                    action="requeue",
+                    task=flight.key,
+                    detail="condemned by a worker crash; isolating",
+                ))
             suspects.extend(condemned)
         self._kill_and_respawn(reason="worker process crash")

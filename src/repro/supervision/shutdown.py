@@ -28,8 +28,9 @@ import signal
 import time
 from collections.abc import Sequence
 
-from repro.core.telemetry import RunObserver, SupervisorEvent, notify
+from repro.core.telemetry import SupervisorEvent
 from repro.errors import ConfigurationError
+from repro.obs.spans import current_tracer, emit
 
 __all__ = ["ShutdownCoordinator"]
 
@@ -56,7 +57,6 @@ class ShutdownCoordinator:
         *,
         max_wall_clock_s: float | None = None,
         signals: Sequence[signal.Signals] = _DEFAULT_SIGNALS,
-        observers: Sequence[RunObserver] = (),
     ):
         if max_wall_clock_s is not None and max_wall_clock_s < 0:
             raise ConfigurationError(
@@ -64,7 +64,6 @@ class ShutdownCoordinator:
             )
         self.max_wall_clock_s = max_wall_clock_s
         self.signals = tuple(signals)
-        self.observers = list(observers)
         self.started_at = time.monotonic()
         self._reason: str | None = None
         self._announced = False
@@ -105,7 +104,7 @@ class ShutdownCoordinator:
 
     def __exit__(self, *exc) -> None:
         self.uninstall()
-        self.flush_observers()
+        self.flush_sinks()
 
     # -- the stop poll -----------------------------------------------------
 
@@ -136,23 +135,22 @@ class ShutdownCoordinator:
             )
         if self._reason is not None and not self._announced:
             self._announced = True
-            notify(
-                self.observers,
-                SupervisorEvent(
-                    action="shutdown",
-                    detail=self._reason,
-                    wall_s=self.elapsed_s(),
-                ),
-            )
-            # A drain is the last chance buffered observers get before the
+            emit(SupervisorEvent(
+                action="shutdown",
+                detail=self._reason,
+                wall_s=self.elapsed_s(),
+            ))
+            # A drain is the last chance buffered sinks get before the
             # campaign unwinds: a SIGTERM that lands mid-generation must not
             # lose that generation's telemetry to an in-memory JSONL buffer.
-            self.flush_observers()
+            self.flush_sinks()
         return self._reason
 
-    def flush_observers(self) -> None:
-        """Flush any attached observer that exposes a ``flush()``."""
-        for observer in self.observers:
-            flush = getattr(observer, "flush", None)
+    @staticmethod
+    def flush_sinks() -> None:
+        """Flush every sink of the installed tracer that has ``flush()``."""
+        tracer = current_tracer()
+        for sink in tracer.sinks if tracer is not None else ():
+            flush = getattr(sink, "flush", None)
             if callable(flush):
                 flush()

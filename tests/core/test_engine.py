@@ -17,7 +17,6 @@ from repro.core.genome import GenomeSpace
 from repro.core.platform import Measurement, MeasurementPlatform
 from repro.core.telemetry import (
     ConsoleObserver,
-    EvaluationEvent,
     JsonlObserver,
     SpanEvent,
     TelemetryCollector,
@@ -25,6 +24,7 @@ from repro.core.telemetry import (
 from repro.errors import ConfigurationError
 from repro.isa.opcodes import default_table
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import Tracer, tracing
 from repro.pdn.elements import bulldozer_pdn
 from repro.pdn.transient import VoltageTrace
 from repro.power.trace import CurrentTrace
@@ -106,18 +106,24 @@ class TestEvaluationEngine:
         assert engine.evaluations == 4
         assert engine.cache_hits == 4
 
-    def test_observers_see_evaluations(self):
+    def test_each_call_is_one_evaluate_batch_span(self):
         observer = RecordingObserver()
-        engine = EvaluationEngine(counting_fitness, observers=[observer])
+        engine = EvaluationEngine(counting_fitness)
         genomes = self.genomes(3)
-        engine.evaluate_many(genomes)
-        engine.evaluate(genomes[0])
-        fresh = [e for e in observer.events if not e.cached]
-        cached = [e for e in observer.events if e.cached]
-        assert len(fresh) == 3
-        assert len(cached) == 1
-        assert all(isinstance(e, EvaluationEvent) for e in observer.events)
-        assert all(e.backend == "serial" for e in observer.events)
+        with tracing(Tracer([observer])):
+            engine.evaluate_many(genomes + genomes[:1])
+            engine.evaluate(genomes[0])
+            engine.evaluate_many([])
+        batches = [e for e in observer.events if e.name == "engine.evaluate_batch"]
+        assert [(e.attrs["size"], e.attrs["hits"]) for e in batches] == [(3, 1), (0, 1)]
+        assert batches[0].attrs["eval_wall_s"] > 0
+        assert batches[1].attrs["eval_wall_s"] == 0.0
+        assert all(e.attrs["backend"] == "serial" for e in batches)
+        collector = TelemetryCollector()
+        for event in observer.events:
+            collector.on_event(event)
+        assert collector.metrics.counter("engine.evaluations") == engine.evaluations == 3
+        assert collector.metrics.counter("engine.cache_hits") == engine.cache_hits == 2
 
     def test_parallel_requires_platform_factory(self):
         space = small_space()
@@ -450,19 +456,17 @@ def _span(name, wall_s, **attrs):
 class TestObserverSinks:
     def events(self):
         return [
-            EvaluationEvent(genome="g0", fitness=0.07, wall_s=0.1,
-                            cached=False, backend="serial"),
-            EvaluationEvent(genome="g0", fitness=0.07, wall_s=0.0,
-                            cached=True, backend="serial"),
+            _span("engine.evaluate_batch", 0.1, backend="serial", size=1,
+                  hits=1, eval_wall_s=0.1),
             _span("ga.generation", 1.5, generation=0, population=12,
                   best_fitness=0.07, mean_fitness=0.05, batch_new=12,
                   evaluations_so_far=12),
             _span("audit.resonance-sweep", 2.0, detail="16 probes"),
         ]
 
-    def console(self, events, *, verbose=False):
+    def console(self, events):
         stream = io.StringIO()
-        observer = ConsoleObserver(stream, verbose=verbose)
+        observer = ConsoleObserver(stream)
         for event in events:
             observer.on_event(event)
         return stream.getvalue().splitlines()
@@ -473,11 +477,10 @@ class TestObserverSinks:
             for event in self.events():
                 sink.on_event(event)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["kind"] for line in lines] == [
-            "evaluation", "evaluation", "span", "span"
-        ]
-        assert lines[2]["attrs"]["population"] == 12
-        assert lines[3]["name"] == "audit.resonance-sweep"
+        assert [line["kind"] for line in lines] == ["span", "span", "span"]
+        assert lines[0]["attrs"]["size"] == 1
+        assert lines[1]["attrs"]["population"] == 12
+        assert lines[2]["name"] == "audit.resonance-sweep"
 
     def test_console_observer_writes_generations_and_phases(self):
         stream = io.StringIO()
@@ -487,7 +490,7 @@ class TestObserverSinks:
         out = stream.getvalue()
         assert "gen   0" in out
         assert "resonance-sweep" in out
-        assert "eval" not in out  # quiet unless verbose
+        assert "eval" not in out  # evaluation batches do not narrate
 
     def test_console_renders_progress_lines_from_spans(self):
         lines = self.console([
@@ -526,21 +529,37 @@ class TestObserverSinks:
             _span("ga.generation", 1.0, generation=3, population=6),
             _span("checkpoint.save", 0.01, generation=3),
             _span("audit.ga-search", 1.0, generations=4),
+            _span("qualify.axis", 0.2, axis="smt", samples=6),
+            _span("qualify.stressmark", 0.5, stressmark="a-res", threads=2),
         ]
         assert self.console(quiet) == []
-        verbose = self.console(quiet[:2], verbose=True)
-        assert verbose == [
-            "[stage/activity/periodic] 10.0ms",
-            "[stage/pdn/periodic] (cached) 1.0ms",
+
+    def test_console_renders_qualification_from_spans(self):
+        lines = self.console([
+            _span("qualify.axis", 0.2, axis="supply", samples=6,
+                  min_droop_v=0.0499, max_droop_v=0.0538, retention=0.9641),
+            _span("qualify.stressmark", 0.0213, stressmark="a-res",
+                  threads=2, verdict="PASS", robustness=0.9012, samples=27),
+        ])
+        assert lines == [
+            "[qualify/supply] 6 samples  droop [49.90, 53.80] mV  retention 0.96",
+            "[qualify] a-res: PASS (robustness 0.90)  0.02s",
         ]
 
-    def test_console_observer_verbose_includes_evaluations(self):
-        stream = io.StringIO()
-        observer = ConsoleObserver(stream, verbose=True)
-        for event in self.events():
-            observer.on_event(event)
-        assert "[eval/serial]" in stream.getvalue()
-        assert "[eval/cache]" in stream.getvalue()
+    def test_collector_counts_qualification_spans(self):
+        collector = TelemetryCollector()
+        for event in (
+            _span("qualify.axis", 0.2, axis="smt", samples=6,
+                  min_droop_v=0.05, max_droop_v=0.05, retention=1.0),
+            _span("qualify.axis", 0.1, axis="pdn", samples=9),  # raised
+            _span("qualify.stressmark", 0.5, stressmark="a-res", threads=2,
+                  verdict="FRAGILE", robustness=0.7, samples=27),
+        ):
+            collector.on_event(event)
+        count = collector.metrics.counter
+        assert count("qualify.axes") == 1
+        assert count("qualify.verdict.FRAGILE") == 1
+        assert count("qualify.wall_s") == pytest.approx(0.5)
 
     def test_collector_aggregates_and_renders(self):
         collector = TelemetryCollector()

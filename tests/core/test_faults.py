@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.audit import AuditConfig, AuditRunner
+from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.engine import EvaluationEngine
 from repro.core.faults import (
     FaultInjectingBackend,
@@ -20,6 +21,7 @@ from repro.core.genome import GenomeSpace
 from repro.core.platform import MeasurementPlatform
 from repro.core.telemetry import FaultEvent, TelemetryCollector
 from repro.errors import (
+    CampaignInterrupted,
     ConfigurationError,
     InvariantViolation,
     MeasurementError,
@@ -27,7 +29,9 @@ from repro.errors import (
 )
 from repro.experiments.setup import bulldozer_testbed
 from repro.isa.opcodes import default_table
+from repro.obs.spans import Tracer, tracing
 from repro.pipeline.artifacts import MeasureRequest
+from repro.supervision.shutdown import ShutdownCoordinator
 
 TABLE = default_table()
 
@@ -176,11 +180,11 @@ class TestEngineFaultHandling:
         fitness = FlakyFitness(failures=1, value=3.0)
         engine = EvaluationEngine(
             fitness,
-            observers=[observer],
             fault_policy=FaultPolicy(max_retries=2),
         )
         batch = genomes(3)
-        assert engine.evaluate_many(batch) == [3.0] * 3
+        with tracing(Tracer([observer])):
+            assert engine.evaluate_many(batch) == [3.0] * 3
         assert engine.retries == 3
         assert engine.quarantines == 0
         faults = [e for e in observer.events if isinstance(e, FaultEvent)]
@@ -191,13 +195,13 @@ class TestEngineFaultHandling:
         observer = RecordingObserver()
         engine = EvaluationEngine(
             FlakyFitness(failures=99),
-            observers=[observer],
             fault_policy=FaultPolicy(
                 max_retries=1, on_exhaust="penalize", penalty_fitness=-0.5
             ),
         )
         genome = genomes(1)[0]
-        assert engine.evaluate_many([genome]) == [-0.5]
+        with tracing(Tracer([observer])):
+            assert engine.evaluate_many([genome]) == [-0.5]
         assert engine.quarantines == 1
         assert genome in engine.quarantined
         actions = [e.action for e in observer.events
@@ -347,14 +351,14 @@ class TestRetryingMeasurements:
             seed=12, exception_rate=0.4))
         platform = MeasurementPlatform(backend=backend)
         observer = RecordingObserver()
-        guarded = RetryingMeasurements(
-            platform, FaultPolicy(max_retries=8), observers=[observer])
+        guarded = RetryingMeasurements(platform, FaultPolicy(max_retries=8))
         from repro.core.resonance import probe_program
 
         program = probe_program(TABLE, hp_count=8, lp_nops=8)
-        for _ in range(10):
-            measurement = guarded.measure_program(program, 2)
-            assert measurement.max_droop_v > 0
+        with tracing(Tracer([observer])):
+            for _ in range(10):
+                measurement = guarded.measure_program(program, 2)
+                assert measurement.max_droop_v > 0
         assert backend.counts.exceptions > 0
         retries = [e for e in observer.events if isinstance(e, FaultEvent)]
         assert len(retries) == backend.counts.exceptions
@@ -400,10 +404,10 @@ class TestChaosCampaign:
         runner = AuditRunner(
             MeasurementPlatform(backend=chaos),
             config=self.CONFIG,
-            observers=[collector],
             fault_policy=FaultPolicy(max_retries=6, on_exhaust="penalize"),
         )
-        result = runner.run()
+        with tracing(Tracer([collector])):
+            result = runner.run()
 
         # The campaign completed and retried its way back to the exact
         # fitness landscape of the clean run: non-faulted genomes (here,
@@ -438,13 +442,13 @@ class TestChaosCampaign:
             MeasurementPlatform(backend=chaos),
             space,
             threads=2,
-            observers=[collector],
             fault_policy=FaultPolicy(
                 max_retries=0, on_exhaust="penalize", penalty_fitness=0.0
             ),
         )
         batch = genomes(20, seed=5)
-        values = engine.evaluate_many(batch)
+        with tracing(Tracer([collector])):
+            values = engine.evaluate_many(batch)
         assert len(values) == len(batch)
         assert chaos.counts.exceptions > 0
         assert engine.quarantines == chaos.counts.exceptions
@@ -452,3 +456,58 @@ class TestChaosCampaign:
         # Non-faulted genomes still score: penalized ones read exactly 0.0.
         assert sum(v > 0.0 for v in values) == len(batch) - engine.quarantines
         assert "quarantined genomes" in collector.summary_table()
+
+
+# ----------------------------------------------------------------------
+# One emission path: the installed tracer is the only wiring
+# ----------------------------------------------------------------------
+class TestTracerWiring:
+    """Fault, invariant and shutdown events reach the tracer's sinks.
+
+    The campaign is stopped at its first generation boundary by a
+    requested shutdown and resumed from its checkpoint; a flaky engine
+    then quarantines two genomes.  The expected counters are the ones
+    the same run produced when every layer took an ``observers=`` list.
+    """
+
+    CONFIG = AuditConfig(threads=2, ga=GaConfig(population_size=6, generations=3, seed=1))
+    POLICY = FaultPolicy(max_retries=6, on_exhaust="penalize")
+
+    @staticmethod
+    def chaos_platform():
+        return MeasurementPlatform(backend=FaultInjectingBackend(
+            bulldozer_testbed().backend,
+            config=FaultInjectionConfig(seed=7, exception_rate=0.15, corrupt_rate=0.2),
+        ))
+
+    def campaign(self, directory):
+        checkpoint = CampaignCheckpoint(directory)
+        coordinator = ShutdownCoordinator(signals=())
+        coordinator.request("operator stop")
+        with pytest.raises(CampaignInterrupted), coordinator:
+            AuditRunner(self.chaos_platform(), config=self.CONFIG,
+                        fault_policy=self.POLICY).run(
+                checkpoint=checkpoint, stop=coordinator.stop_requested)
+        result = AuditRunner(self.chaos_platform(), config=self.CONFIG,
+                             fault_policy=self.POLICY).run(
+            checkpoint=checkpoint, resume=True)
+        flaky = EvaluationEngine(
+            FlakyFitness(failures=99),
+            fault_policy=FaultPolicy(max_retries=1, on_exhaust="penalize"),
+        )
+        flaky.evaluate_many(genomes(2))
+        return result.max_droop_v
+
+    def test_events_reach_the_tracer_sinks_with_no_other_wiring(self, tmp_path):
+        collector = TelemetryCollector()
+        with tracing(Tracer([collector])):
+            traced = self.campaign(tmp_path / "traced")
+        metrics = collector.metrics
+        assert metrics.family("fault") == {"quarantines": 2, "retries": 32}
+        assert metrics.family("invariant") == {
+            "guard.platform/voltage-finite": 21, "violations": 21,
+        }
+        assert metrics.family("supervisor") == {"shutdown.operator stop": 1}
+        assert collector.shutdown_reason == "operator stop"
+        # The same campaign with no tracer installed measures the same.
+        assert self.campaign(tmp_path / "untraced") == traced

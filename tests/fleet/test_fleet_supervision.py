@@ -19,6 +19,7 @@ from repro.errors import (
 from repro.fleet.matrix import ScenarioMatrix
 from repro.fleet.orchestrator import FleetOrchestrator
 from repro.fleet.shard import ShardResult, classify_failure
+from repro.obs.spans import Tracer, tracing
 from repro.supervision.executor import SupervisionExhaustedError
 
 
@@ -103,6 +104,11 @@ class Recorder:
                 if isinstance(e, ShardEvent)]
 
 
+def traced_run(orchestrator, *sinks):
+    with tracing(Tracer(sinks)):
+        return orchestrator.run()
+
+
 class TestClassification:
     def test_campaign_interrupted_maps_to_exit_75(self):
         assert classify_failure(CampaignInterrupted("signal SIGTERM")) == 75
@@ -131,12 +137,11 @@ class TestHungShard:
             two_seed_matrix(),
             tmp_path / "fleet",
             workers=workers,
-            observers=[recorder],
             shard_timeout_s=1.0,
             shard_retries=0,
             task_fn=fake_hang_on_seed2,
         )
-        report = orchestrator.run()
+        report = traced_run(orchestrator, recorder)
         assert len(report.ok_shards) == 1
         assert len(report.failed_shards) == 1
         failed = report.failed_shards[0]
@@ -150,12 +155,11 @@ class TestHungShard:
             two_seed_matrix(),
             tmp_path / "fleet",
             workers=2,
-            observers=[recorder],
             shard_timeout_s=1.0,
             shard_retries=1,
             task_fn=fake_hang_on_seed2,
         )
-        report = orchestrator.run()
+        report = traced_run(orchestrator, recorder)
         assert len(report.failed_shards) == 1
         # Two strikes: the first hang requeues, the second gives up.
         assert len(recorder.supervisor("hang-kill")) == 2
@@ -168,11 +172,10 @@ class TestCrashedShard:
             two_seed_matrix(),
             tmp_path / "fleet",
             workers=2,
-            observers=[recorder],
             shard_retries=0,
             task_fn=fake_abort_on_seed2,
         )
-        report = orchestrator.run()
+        report = traced_run(orchestrator, recorder)
         assert len(report.ok_shards) == 1
         assert len(report.failed_shards) == 1
         assert "WorkerCrashError" in report.failed_shards[0].error
@@ -211,11 +214,10 @@ class TestGracefulStop:
             two_seed_matrix(),
             tmp_path / "fleet",
             workers=1,
-            observers=[recorder],
             task_fn=fake_interrupted_on_seed2,
         )
         with pytest.raises(CampaignInterrupted) as excinfo:
-            orchestrator.run()
+            traced_run(orchestrator, recorder)
         assert "signal stop propagated" in excinfo.value.reason
         assert (tmp_path / "fleet" / "report.json").exists()
         statuses = dict(recorder.shard_statuses())
@@ -240,12 +242,11 @@ class TestGracefulStop:
             two_chain_matrix(),
             tmp_path / "fleet",
             workers=2,
-            observers=[recorder, CountOk()],
             stop_check=stop_after_first,
             task_fn=fake_sleep_on_4_threads,
         )
         with pytest.raises(CampaignInterrupted) as excinfo:
-            orchestrator.run()
+            traced_run(orchestrator, recorder, CountOk())
         assert "test budget" in excinfo.value.reason
         assert (tmp_path / "fleet" / "report.json").exists()
         statuses = recorder.shard_statuses()

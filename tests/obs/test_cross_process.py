@@ -97,8 +97,7 @@ class TestChaosCampaignTrace:
         trace_path = tmp_path / "chaos.jsonl"
         collector = TelemetryCollector()
         jsonl = JsonlObserver(trace_path, flush_every=16)
-        observers = [collector, jsonl]
-        tracer = Tracer(observers)
+        tracer = Tracer([collector, jsonl])
         from repro.supervision.executor import SupervisedExecutor
 
         executor = SupervisedExecutor(
@@ -106,7 +105,6 @@ class TestChaosCampaignTrace:
             task_timeout_s=3.0,
             max_pool_rebuilds=30,
             poll_s=0.05,
-            observers=[collector],
         )
         # The parent keeps a clean platform (resonance hunt and final
         # verification run in-process); only workers see the chaos.
@@ -114,7 +112,6 @@ class TestChaosCampaignTrace:
             bulldozer_testbed(),
             config=CONFIG,
             executor=executor,
-            observers=observers,
             platform_factory=chaotic_platform,
             fault_policy=FaultPolicy(max_retries=0, on_exhaust="skip"),
         )

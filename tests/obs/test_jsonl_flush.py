@@ -2,8 +2,8 @@
 
 A buffered JSONL observer must never lose events to its in-memory
 buffer when a graceful shutdown begins: the :class:`ShutdownCoordinator`
-flushes every flushable observer the moment it announces a drain, and
-again when it uninstalls — so a ``--max-wall-clock`` stop (or SIGTERM)
+flushes every flushable sink of the installed tracer the moment it
+announces a drain, and again when it uninstalls — so a ``--max-wall-clock`` stop (or SIGTERM)
 leaves a complete trace on disk even if the process dies before the
 CLI's ``finally`` runs.
 """
@@ -12,13 +12,13 @@ import json
 
 import pytest
 
-from repro.core.telemetry import EvaluationEvent, JsonlObserver
+from repro.core.telemetry import FaultEvent, JsonlObserver
+from repro.obs.spans import Tracer, tracing
 from repro.supervision.shutdown import ShutdownCoordinator
 
 
 def _event(i):
-    return EvaluationEvent(genome=f"g{i}", fitness=float(i), wall_s=float(i),
-                           cached=False, backend="serial")
+    return FaultEvent(genome=f"g{i}", error="boom", attempt=i + 1, action="retry")
 
 
 def _events(n):
@@ -74,7 +74,7 @@ class TestBuffering:
         observer.on_event(_events(1)[0])
         observer.close()
         assert not stream.closed
-        assert json.loads(stream.getvalue())["kind"] == "evaluation"
+        assert json.loads(stream.getvalue())["kind"] == "fault"
 
 
 class TestShutdownDrainFlush:
@@ -84,12 +84,13 @@ class TestShutdownDrainFlush:
         # now flushes on the first drain announcement.
         path = tmp_path / "trace.jsonl"
         observer = JsonlObserver(path, flush_every=64)
-        coordinator = ShutdownCoordinator(observers=[observer])
+        coordinator = ShutdownCoordinator()
         for event in _events(7):
             observer.on_event(event)
         assert path.read_text() == ""  # still buffered
         coordinator.request("signal SIGTERM")
-        assert coordinator.stop_requested() == "signal SIGTERM"
+        with tracing(Tracer([observer])):
+            assert coordinator.stop_requested() == "signal SIGTERM"
         rows = _lines(path)
         # The 7 buffered events plus the shutdown SupervisorEvent itself.
         assert len(rows) == 8
@@ -99,7 +100,7 @@ class TestShutdownDrainFlush:
     def test_coordinator_exit_flushes_late_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         observer = JsonlObserver(path, flush_every=64)
-        with ShutdownCoordinator(observers=[observer]):
+        with tracing(Tracer([observer])), ShutdownCoordinator():
             for event in _events(3):
                 observer.on_event(event)
         assert len(_lines(path)) == 3
@@ -107,17 +108,18 @@ class TestShutdownDrainFlush:
     def test_wall_clock_budget_drain_also_flushes(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         observer = JsonlObserver(path, flush_every=64)
-        coordinator = ShutdownCoordinator(max_wall_clock_s=0.0,
-                                          observers=[observer])
+        coordinator = ShutdownCoordinator(max_wall_clock_s=0.0)
         observer.on_event(_events(1)[0])
-        reason = coordinator.stop_requested()
+        with tracing(Tracer([observer])):
+            reason = coordinator.stop_requested()
         assert reason is not None and "wall-clock" in reason
-        assert any(row["kind"] == "evaluation" for row in _lines(path))
+        assert any(row["kind"] == "fault" for row in _lines(path))
 
     def test_observers_without_flush_are_tolerated(self):
         class Plain:
             def on_event(self, event):
                 pass
 
-        coordinator = ShutdownCoordinator(observers=[Plain()])
-        coordinator.flush_observers()  # must not raise
+        with tracing(Tracer([Plain()])):
+            ShutdownCoordinator().flush_sinks()  # must not raise
+        ShutdownCoordinator().flush_sinks()  # nor with no tracer installed

@@ -33,7 +33,6 @@ def _run_campaign(workers: int):
         platform,
         config=CONFIG,
         executor=executor,
-        observers=[collector],
         platform_factory=bulldozer_testbed if workers > 1 else None,
     )
     try:

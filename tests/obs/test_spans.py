@@ -174,7 +174,7 @@ class TestPropagation:
         with parent.span("engine.evaluate_batch") as batch:
             context = parent.context()
         child_buffer = SpanBuffer()
-        child = adopt(context, observers=(child_buffer,), clock=FakeClock())
+        child = adopt(context, (child_buffer,), clock=FakeClock())
         with child.span("worker.eval"):
             with child.span("pipeline.measure"):
                 pass

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.core.telemetry import (
-    EvaluationEvent,
     FaultEvent,
     PlatformMetricsEvent,
     SpanEvent,
@@ -165,7 +164,8 @@ def _campaign_events():
         _span("audit.campaign", "r1", t0=0.0, wall=20.0),
         _span("ga.generation", "g1", "r1", t0=1.0, wall=8.0,
               attrs={"generation": 0}),
-        _span("engine.evaluate_batch", "b1", "g1", t0=2.0, wall=6.0),
+        _span("engine.evaluate_batch", "b1", "g1", t0=2.0, wall=6.0,
+              attrs={"size": 2, "hits": 1, "eval_wall_s": 3.5}),
         _span("worker.eval", "w1", "b1", t0=3.0, wall=2.0, pid=101),
         _span("pipeline.activity", "a1", "w1", t0=3.1, wall=0.2, pid=101,
               attrs={"path": "periodic", "cache_hit": False}),
@@ -174,12 +174,6 @@ def _campaign_events():
         _span("worker.eval", "w2", "b1", status="lost", t0=5.0, wall=1.0,
               pid=102),
         _span("stranded.child", "s1", "never-flushed", t0=6.0, wall=0.5),
-        EvaluationEvent(genome="g-a", fitness=0.04, wall_s=2.0, cached=False,
-                        backend="supervised"),
-        EvaluationEvent(genome="g-b", fitness=0.05, wall_s=1.5, cached=False,
-                        backend="supervised"),
-        EvaluationEvent(genome="g-a", fitness=0.04, wall_s=0.0, cached=True,
-                        backend="supervised"),
         FaultEvent(genome="g-c", error="hang", attempt=1, action="quarantine",
                    timeout=True),
         SupervisorEvent(action="hang-kill", task="g-c"),
@@ -196,8 +190,9 @@ class TestAnalyzeTrace:
             _write_trace(tmp_path / "trace.jsonl", _campaign_events()))
 
     def test_event_and_span_rollups(self, analysis):
-        assert analysis.events_by_kind["span"] == 8
-        assert analysis.events_by_kind["evaluation"] == 3
+        assert analysis.events_by_kind == {
+            "fault": 1, "platform-stats": 1, "span": 8, "supervisor": 1,
+        }
         assert analysis.total_events == len(_campaign_events())
         assert analysis.span_counts["worker.eval"] == 2
         assert analysis.total_spans == 8
@@ -242,7 +237,7 @@ class TestAnalyzeTrace:
 
     def test_metrics_projection(self, analysis):
         registry = analysis.metrics()
-        assert registry.counter("events.evaluation") == 3
+        assert registry.counter("events.span") == 8
         assert registry.counter("spans.worker.eval") == 2
         assert registry.counter("spans.lost") == 2
         assert registry.counter("engine.evaluations") == 2
@@ -280,8 +275,7 @@ class TestRendering:
 
     def test_spanless_trace_renders_without_tables(self, tmp_path):
         path = _write_trace(tmp_path / "flat.jsonl", [
-            EvaluationEvent(genome="g0", fitness=0.0, wall_s=0.1,
-                            cached=False, backend="serial"),
+            FaultEvent(genome="g0", error="boom", attempt=1, action="retry"),
         ])
         analysis = analyze_trace(path)
         text = render_analysis(analysis)
@@ -302,14 +296,15 @@ class TestCompareTraces:
     def test_count_drift_is_a_mismatch(self, tmp_path):
         a = _write_trace(tmp_path / "a.jsonl", _campaign_events())
         events = _campaign_events()
-        events.append(EvaluationEvent(genome="g-z", fitness=0.01, wall_s=1.0,
-                                      cached=False, backend="serial"))
+        events.append(_span("engine.evaluate_batch", "b2", "g1", t0=8.5,
+                            wall=0.5, attrs={"size": 1, "hits": 0,
+                                             "eval_wall_s": 0.4}))
         b = _write_trace(tmp_path / "b.jsonl", events)
         comparison = compare_traces(a, b)
         assert not comparison.ok
         mismatched = {key for key, *_ in comparison.mismatches}
         assert "evaluations" in mismatched
-        assert "events.evaluation" in mismatched
+        assert "spans.engine.evaluate_batch" in mismatched
         assert "MISMATCH" in comparison.render()
 
     def test_timing_drift_alone_is_not_a_mismatch(self, tmp_path):

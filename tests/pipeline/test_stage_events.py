@@ -50,8 +50,8 @@ def measure_traced(program, threads=4, *, observer=None, **kwargs):
     chip = bulldozer_chip()
     platform = MeasurementPlatform(chip, bulldozer_pdn(vdd=chip.vdd), **kwargs)
     recorder = Recorder()
-    observers = [recorder] if observer is None else [recorder, observer]
-    with tracing(Tracer(observers)):
+    sinks = [recorder] if observer is None else [recorder, observer]
+    with tracing(Tracer(sinks)):
         platform.measure_program(program, threads)
     return recorder
 

@@ -16,6 +16,7 @@ from repro.pipeline.artifacts import (
     ActivityProfile,
     CompiledProgram,
     MeasureRequest,
+    ModuleActivity,
     PdnResponse,
     artifact_key,
 )
@@ -195,6 +196,51 @@ class TestPdnStage:
                 np.maximum(want_sens, np.roll(module_sens, phase), out=want_sens)
             assert np.array_equal(current, want_current)
             assert np.array_equal(sens, want_sens)
+
+    @given(data=st.data(), period=st.integers(1, 97))
+    @settings(max_examples=30, deadline=None)
+    def test_jittered_rows_match_the_per_repetition_roll(self, pipeline, data, period):
+        """The gathered SMT rows equal np.roll per repetition, concatenated."""
+        stage = pipeline.pdn_stage
+        levels = st.floats(0.0, 50.0, allow_nan=False)
+        modules = []
+        for _ in range(pipeline.chip.module_count):
+            if data.draw(st.booleans()):
+                modules.append(None)
+                continue
+            energy = np.array(data.draw(st.lists(levels, min_size=period, max_size=period)))
+            sens = np.array(data.draw(st.lists(levels, min_size=period, max_size=period)))
+            modules.append(ModuleActivity(
+                trace=None, profile=(energy, sens, period),
+                count=data.draw(st.sampled_from((1, 2))),
+            ))
+        profile = ActivityProfile(
+            modules=tuple(modules), period_cycles=period, iteration_cycles=None,
+            smt=True, path="jittered", fallback_reason="", key="",
+        )
+        phases = data.draw(st.tuples(*[st.integers(-300, 300)] * len(modules)))
+        supply = data.draw(st.floats(0.9, 1.4, allow_nan=False))
+        current, sens, mean = stage.jittered_rows(profile, phases, supply)
+
+        reps = stage.JITTER_REPETITIONS
+        active = [(m, phases[i]) for i, m in enumerate(modules) if m is not None]
+        want_current = np.full(reps * period, (len(modules) - len(active))
+                               * stage.idle_module_current())
+        want_sens = np.zeros(reps * period)
+        rng = np.random.default_rng(stage.jitter_seed)
+        for module, phase in active:
+            energy, module_sens, _p = module.profile
+            row = stage.current_from_energy(
+                energy, active_threads=module.count, supply_v=supply)
+            steps = rng.integers(-stage.jitter_step_cycles,
+                                 stage.jitter_step_cycles + 1, size=reps)
+            offsets = phase + np.cumsum(steps)
+            want_current += np.concatenate([np.roll(row, int(k)) for k in offsets])
+            np.maximum(want_sens, np.concatenate(
+                [np.roll(module_sens, int(k)) for k in offsets]), out=want_sens)
+        assert np.array_equal(current, want_current)
+        assert np.array_equal(sens, want_sens)
+        assert mean == float(want_current.mean())
 
 
 class TestPipelineValidation:

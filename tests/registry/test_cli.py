@@ -119,6 +119,23 @@ class TestRegistryCommands:
                      record_id[:12]]) == EXIT_OK
         assert "bit-identically" in capsys.readouterr().out
 
+    def test_verify_traces_its_replay(self, published, tmp_path, capsys):
+        """The replay's pipeline spans land in the trace beside the
+        registry verify row, all in one trace."""
+        registry_dir, record_id = published
+        trace = tmp_path / "t.jsonl"
+        assert main(["registry", "verify", str(registry_dir), record_id,
+                     "--telemetry-out", str(trace)]) == EXIT_OK
+        capsys.readouterr()
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        (verify,) = [r for r in rows if r["kind"] == "registry"]
+        assert verify["action"] == "verify"
+        assert verify["record_id"] == record_id
+        spans = [r for r in rows if r["kind"] == "span"]
+        names = {r["name"] for r in spans}
+        assert {"pipeline.measure", "pipeline.activity", "pipeline.pdn_solve"} <= names
+        assert len({r["trace_id"] for r in spans}) == 1
+
     def test_verify_detects_forged_droop(self, tmp_path, capsys):
         from repro.registry.provenance import build_platform, platform_descriptor
 

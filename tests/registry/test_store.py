@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.telemetry import RecentEventsObserver
 from repro.errors import RegistryError
+from repro.obs.spans import Tracer, tracing
 from repro.registry.store import MIN_REF_LENGTH, REGISTRY_VERSION, StressmarkRegistry
 from repro.supervision.chaos import (
     bitflip_file,
@@ -53,8 +54,9 @@ class TestPublish:
 
     def test_publish_emits_event(self, tmp_path):
         recorder = RecentEventsObserver()
-        registry = StressmarkRegistry(tmp_path / "reg", observers=[recorder])
-        registry.publish(synthetic_record(1))
+        registry = StressmarkRegistry(tmp_path / "reg")
+        with tracing(Tracer([recorder])):
+            registry.publish(synthetic_record(1))
         kinds = [event["kind"] for event in recorder.tail()]
         assert "registry" in kinds
 
@@ -153,10 +155,11 @@ class TestSalvage:
 
     def test_salvage_emits_event(self, tmp_path):
         recorder = RecentEventsObserver()
-        registry = StressmarkRegistry(tmp_path / "reg", observers=[recorder])
+        registry = StressmarkRegistry(tmp_path / "reg")
         registry.publish(synthetic_record(1))
         truncate_file(registry.index_path, keep_bytes=5)
-        registry.entries()
+        with tracing(Tracer([recorder])):
+            registry.entries()
         details = [event.get("detail", "") for event in recorder.tail()]
         assert any("rebuilt" in detail for detail in details)
 

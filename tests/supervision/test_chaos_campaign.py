@@ -15,6 +15,7 @@ from repro.core.ga import GaConfig
 from repro.core.platform import MeasurementPlatform
 from repro.core.telemetry import TelemetryCollector
 from repro.experiments.setup import bulldozer_testbed
+from repro.obs.spans import Tracer, tracing
 from repro.supervision.executor import SupervisedExecutor
 
 #: Hash-targeted hard-fault rates: deterministic per genome, so a given
@@ -50,7 +51,6 @@ class TestChaosCampaign:
             task_timeout_s=3.0,
             max_pool_rebuilds=30,
             poll_s=0.05,
-            observers=[collector],
         )
         # The parent keeps a clean platform (resonance hunt and final
         # verification run in-process); only workers see the chaos.
@@ -58,12 +58,12 @@ class TestChaosCampaign:
             bulldozer_testbed(),
             config=CONFIG,
             executor=executor,
-            observers=[collector],
             platform_factory=chaotic_platform,
             fault_policy=FaultPolicy(max_retries=0, on_exhaust="skip"),
         )
         try:
-            result = runner.run()
+            with tracing(Tracer([collector])):
+                result = runner.run()
         finally:
             executor.close()
 

@@ -8,6 +8,7 @@ import pytest
 from repro.cli._main import main
 from repro.core.telemetry import TelemetryCollector
 from repro.errors import EXIT_INTERRUPTED, ConfigurationError
+from repro.obs.spans import Tracer, tracing
 from repro.supervision.shutdown import ShutdownCoordinator
 
 
@@ -18,14 +19,13 @@ class TestShutdownCoordinator:
 
     def test_wall_clock_budget_trips_and_sticks(self):
         collector = TelemetryCollector()
-        coordinator = ShutdownCoordinator(
-            max_wall_clock_s=0.0, observers=[collector]
-        )
-        reason = coordinator.stop_requested()
-        assert reason is not None
-        assert "wall-clock" in reason
-        # Sticky, and announced exactly once.
-        assert coordinator.stop_requested() == reason
+        coordinator = ShutdownCoordinator(max_wall_clock_s=0.0)
+        with tracing(Tracer([collector])):
+            reason = coordinator.stop_requested()
+            assert reason is not None
+            assert "wall-clock" in reason
+            # Sticky, and announced exactly once.
+            assert coordinator.stop_requested() == reason
         assert collector.shutdown_reason == reason
 
     def test_programmatic_request(self):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.telemetry import TelemetryCollector
 from repro.errors import ConfigurationError
+from repro.obs.spans import Tracer, tracing
 from repro.supervision.executor import (
     SupervisedExecutor,
     SupervisionExhaustedError,
@@ -68,11 +69,12 @@ class TestOrdinaryOperation:
 class TestHangSupervision:
     def test_hung_task_killed_and_sentineled(self):
         collector = TelemetryCollector()
-        pool = executor(task_timeout_s=0.5, observers=[collector])
+        pool = executor(task_timeout_s=0.5)
         try:
-            results = pool.map(
-                dispatch, [("ok", 1), ("sleep", 60.0), ("ok", 3)]
-            )
+            with tracing(Tracer([collector])):
+                results = pool.map(
+                    dispatch, [("ok", 1), ("sleep", 60.0), ("ok", 3)]
+                )
         finally:
             pool.close()
         assert results[0] == 2
@@ -109,11 +111,12 @@ class TestHangSupervision:
 class TestCrashSupervision:
     def test_crasher_isolated_and_sentineled(self):
         collector = TelemetryCollector()
-        pool = executor(observers=[collector], crash_retries=1)
+        pool = executor(crash_retries=1)
         try:
-            results = pool.map(
-                dispatch, [("ok", 1), ("abort", 0), ("ok", 3), ("ok", 4)]
-            )
+            with tracing(Tracer([collector])):
+                results = pool.map(
+                    dispatch, [("ok", 1), ("abort", 0), ("ok", 3), ("ok", 4)]
+                )
         finally:
             pool.close()
         fault = results[1]
