@@ -35,7 +35,7 @@ from repro.core.qualify import (
     StressmarkQualifier,
 )
 from repro.core.resonance import ResonanceSweepResult, find_resonance
-from repro.core.telemetry import PlatformMetricsEvent, SupervisorEvent
+from repro.core.telemetry import PlatformMetricsEvent
 from repro.obs.spans import emit, span
 
 
@@ -322,11 +322,11 @@ class AuditRunner:
                     "one generation?)"
                 )
             if state.salvaged:
-                emit(SupervisorEvent(
-                    action="salvage",
+                span(
+                    "supervisor.salvage",
                     task=f"generation {state.ga.generation}",
                     detail=state.salvage_reason,
-                ))
+                ).close()
             resume_snapshot = state.ga
             engine.restore_cache(
                 state.fitness_cache,

@@ -10,8 +10,8 @@ this module provides:
   pipeline, memoises fitness by genome and evaluates whole batches
   (``evaluate_many``).  Each call is one ``engine.evaluate_batch`` span
   whose ``size`` (fresh genomes), ``hits`` (cache-served requests) and
-  ``eval_wall_s`` attributes are the engine's telemetry; faults go out as
-  :class:`~repro.core.telemetry.FaultEvent` through the installed tracer.
+  ``eval_wall_s`` attributes are the engine's telemetry; each retried or
+  quarantined fault is a ``fault.retry`` / ``fault.quarantine`` span.
 * Executors are pluggable: :class:`SerialExecutor` (default — deterministic,
   shares the in-process platform and all its caches) and the process pool
   :class:`~repro.supervision.executor.SupervisedExecutor` (one GA
@@ -40,11 +40,10 @@ from repro.core.codegen import DEFAULT_ITERATIONS, genome_to_program
 from repro.core.cost import MaxDroopCost
 from repro.core.faults import EvalOutcome, FaultPolicy, FaultRecord, GuardedFitness
 from repro.core.platform import MeasurementPlatform
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import TracedTask, current_tracer, emit, span
-from repro.pipeline.artifacts import MeasureRequest
-from repro.core.telemetry import FaultEvent, InvariantEvent
 from repro.errors import ConfigurationError
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import TracedTask, current_tracer, span
+from repro.pipeline.artifacts import MeasureRequest
 
 G = TypeVar("G", bound=Hashable)
 
@@ -269,7 +268,7 @@ class EvaluationEngine(Generic[G]):
     retried (with backoff, worker-side) and genomes whose measurements keep
     failing are **quarantined** — assigned the policy's exhausted fitness
     instead of killing the campaign — with every retry and quarantine
-    surfaced as :class:`~repro.core.telemetry.FaultEvent` telemetry.
+    surfaced as a ``fault.retry`` / ``fault.quarantine`` span.
     """
 
     def __init__(
@@ -459,19 +458,20 @@ class EvaluationEngine(Generic[G]):
         for i, fault in enumerate(outcome.faults):
             final_failure = outcome.exhausted and i == len(outcome.faults) - 1
             if fault.invariant:
-                emit(InvariantEvent(
+                span(
+                    "invariant.violation",
                     guard=fault.invariant,
                     layer=fault.layer,
                     error=fault.error,
                     genome=label,
-                ))
-            emit(FaultEvent(
+                ).close()
+            span(
+                "fault.quarantine" if final_failure else "fault.retry",
                 genome=label,
                 error=fault.error,
                 attempt=i + 1,
-                action="quarantine" if final_failure else "retry",
                 timeout=fault.timeout,
-            ))
+            ).close()
         if outcome.exhausted:
             self.quarantines += 1
             self.quarantined.add(genome)

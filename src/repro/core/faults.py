@@ -110,8 +110,8 @@ class FaultRecord:
 
     ``timeout`` marks an attempt killed at the supervisor's hard deadline.
     ``invariant``/``layer`` are set when the failure was a runtime
-    invariant guard firing (corrupt numerics), so telemetry can emit an
-    :class:`~repro.core.telemetry.InvariantEvent` alongside the fault.
+    invariant guard firing (corrupt numerics), so telemetry can record an
+    ``invariant.violation`` span alongside the fault.
     """
 
     error: str
@@ -273,23 +273,24 @@ class RetryingMeasurements:
         ]
 
     def _retry(self, measure):
-        from repro.core.telemetry import FaultEvent, InvariantEvent
-        from repro.obs.spans import emit
+        from repro.obs.spans import span
 
         def on_fault(error, attempt, final):
             if isinstance(error, InvariantViolation):
-                emit(InvariantEvent(
+                span(
+                    "invariant.violation",
                     guard=error.guard,
                     layer=error.layer,
                     error=str(error),
                     genome=self._label,
-                ))
-            emit(FaultEvent(
+                ).close()
+            span(
+                "fault.quarantine" if final else "fault.retry",
                 genome=self._label,
                 error=f"{type(error).__name__}: {error}",
                 attempt=attempt,
-                action="quarantine" if final else "retry",
-            ))
+                timeout=False,
+            ).close()
 
         measurement, attempts, _faults, error = retry(
             measure, self._policy,

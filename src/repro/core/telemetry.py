@@ -1,13 +1,17 @@
-"""Run telemetry: structured events from the AUDIT closed loop.
+"""Run telemetry: the trace rows of the AUDIT closed loop and their sinks.
 
 On the paper's testbed every fitness call is a multi-second oscilloscope
 capture, so knowing *where the time goes* is the difference between an
 overnight run and a week.  The reproduction keeps the same discipline:
-anything with a duration — a loop phase, a GA generation, an evaluation
-batch, a qualification axis, a checkpoint write, a pipeline stage — is a
-trace span (:mod:`repro.obs.spans`) whose attributes carry what happened,
-and the remaining event kinds record point-in-time results (a fault, a
-supervisor action, a shard finished, a registry publish).
+everything the loop records is a trace span (:mod:`repro.obs.spans`)
+whose attributes carry what happened.  Work with a duration — a loop
+phase, a GA generation, an evaluation batch, a qualification axis, a
+checkpoint write, a pipeline stage, a fleet shard, a registry operation
+— is a span over that work.  A point occurrence — a retried or
+quarantined fault, an invariant violation, a supervisor action — is a
+span that closes as it opens, so it reaches the sinks the moment it
+happens.  The one other row, :class:`PlatformMetricsEvent`, carries the
+platform's end-of-run counters.
 
 Every event takes one path: code calls :func:`repro.obs.spans.span` or
 :func:`repro.obs.spans.emit`, and the installed
@@ -16,8 +20,8 @@ tracer installed an event goes nowhere.  The measurement platform keeps
 aggregate counters (simulator vs. PDN-solve time, cache hits,
 measurement path taken) in its own registry.
 
-Sinks are deliberately dumb (:class:`RunObserver`):
-:class:`ConsoleObserver` narrates progress, :class:`JsonlObserver`
+A sink is anything with ``on_event(event)``, and sinks read spans by
+name: :class:`ConsoleObserver` narrates progress, :class:`JsonlObserver`
 appends machine-readable lines, and :class:`TelemetryCollector` folds the
 stream into a :class:`~repro.obs.metrics.MetricsRegistry` whose rendering
 is the end-of-run summary printed by ``repro bench-evals``.
@@ -29,7 +33,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
-from typing import IO, TYPE_CHECKING, Protocol, runtime_checkable
+from typing import IO, TYPE_CHECKING
 
 from repro.analysis.report import format_kv_table
 
@@ -40,33 +44,6 @@ if TYPE_CHECKING:
 # ----------------------------------------------------------------------
 # Events
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FaultEvent:
-    """One failed evaluation attempt (retried or quarantined)."""
-
-    genome: str
-    error: str
-    attempt: int
-    action: str
-    """``"retry"`` when another attempt follows, ``"quarantine"`` when the
-    policy gave up on the genome."""
-    timeout: bool = False
-
-    kind = "fault"
-
-
-@dataclass(frozen=True)
-class InvariantEvent:
-    """One runtime invariant guard fired on corrupt numerics."""
-
-    guard: str
-    layer: str
-    error: str
-    genome: str = ""
-
-    kind = "invariant"
-
-
 @dataclass(frozen=True)
 class PlatformMetricsEvent:
     """End-of-run platform counters, merged across worker processes.
@@ -81,89 +58,6 @@ class PlatformMetricsEvent:
     source: str = ""
 
     kind = "platform-stats"
-
-
-@dataclass(frozen=True)
-class SupervisorEvent:
-    """One action taken by the process-supervision layer.
-
-    ``action`` is one of ``"hang-kill"`` (a task blew its hard deadline
-    and its worker pool was killed), ``"crash"`` (a worker process died —
-    segfault, ``os._exit`` — under a task), ``"respawn"`` (the pool was
-    rebuilt), ``"requeue"`` (an innocent in-flight task was rescheduled
-    after a kill), ``"give-up"`` (a task exhausted its supervision
-    retries and was handed to the fault policy), ``"salvage"`` (a corrupt
-    checkpoint was recovered from the previous verified snapshot), or
-    ``"shutdown"`` (a graceful stop was requested).  ``task`` labels the
-    genome / shard involved, ``detail`` carries the error or reason.
-    """
-
-    action: str
-    task: str = ""
-    detail: str = ""
-    respawns: int = 0
-    wall_s: float = 0.0
-
-    kind = "supervisor"
-
-
-@dataclass(frozen=True)
-class ShardEvent:
-    """One fleet shard changing state.
-
-    ``status`` is ``"started"`` when a shard is dispatched to a worker,
-    ``"banked"`` when a resumed fleet finds its completed result on disk,
-    ``"ok"`` / ``"failed"`` when it finishes.  Failures carry the error
-    string and the exit-code taxonomy entry the shard mapped to
-    (3 fault-exhaustion / 4 invariant / 70 crash).
-    """
-
-    scenario: str
-    status: str
-    droop_v: float = 0.0
-    evaluations: int = 0
-    wall_s: float = 0.0
-    error: str = ""
-    exit_code: int = 0
-
-    kind = "shard"
-
-
-@dataclass(frozen=True)
-class FleetEvent:
-    """Fleet progress after a shard event: the live status line."""
-
-    total: int
-    done: int
-    failed: int
-    running: int
-    wall_s: float
-    detail: str = ""
-
-    kind = "fleet"
-
-
-@dataclass(frozen=True)
-class RegistryEvent:
-    """One stressmark-registry operation.
-
-    ``action`` is ``"publish"`` (a record landed in the store — or was
-    already there, ``deduped=True``), ``"verify"`` (a stored record was
-    replayed through the measurement pipeline; ``detail`` carries the
-    verdict), ``"export"`` / ``"import"`` (tarball round-trips, ``detail``
-    counts the records), or ``"salvage"`` (a damaged index was rebuilt
-    from the object store).  ``record_id`` is the content hash involved
-    (empty for whole-store actions).
-    """
-
-    action: str
-    record_id: str = ""
-    path: str = ""
-    detail: str = ""
-    deduped: bool = False
-    wall_s: float = 0.0
-
-    kind = "registry"
 
 
 @dataclass(frozen=True)
@@ -194,22 +88,13 @@ class SpanEvent:
     kind = "span"
 
 
-TelemetryEvent = (
-    FaultEvent | InvariantEvent | PlatformMetricsEvent | ShardEvent
-    | FleetEvent | SupervisorEvent | RegistryEvent | SpanEvent
-)
+TelemetryEvent = PlatformMetricsEvent | SpanEvent
 
 #: Every concrete event class, keyed by its ``kind`` tag.  The telemetry
 #: conformance suite iterates this registry so a new event kind cannot
 #: ship without a golden schema, and the trace loader uses it to rebuild
 #: typed events from JSONL rows.
-EVENT_TYPES: dict = {
-    cls.kind: cls
-    for cls in (
-        FaultEvent, InvariantEvent, PlatformMetricsEvent, ShardEvent,
-        FleetEvent, SupervisorEvent, RegistryEvent, SpanEvent,
-    )
-}
+EVENT_TYPES: dict = {cls.kind: cls for cls in (PlatformMetricsEvent, SpanEvent)}
 
 #: Pipeline-stage spans, by span name, and the stage each one times.
 #: Their ``cache_hit``, ``fallback`` (transient-fallback reason) and
@@ -247,13 +132,14 @@ def event_from_dict(payload: dict) -> TelemetryEvent:
 
 
 # ----------------------------------------------------------------------
-# Observer protocol + sinks
+# Sinks
 # ----------------------------------------------------------------------
-@runtime_checkable
-class RunObserver(Protocol):
-    """Anything that wants to watch a closed-loop run."""
-
-    def on_event(self, event: TelemetryEvent) -> None: ...
+def _fleet_line(attrs: dict) -> str:
+    """The ``[fleet]`` status line of a span carrying fleet progress."""
+    failed = f", {attrs['failed']} failed" if attrs["failed"] else ""
+    detail = f"  ({attrs['detail']})" if attrs.get("detail") else ""
+    return (f"[fleet] {attrs['done']}/{attrs['total']} shards done{failed}, "
+            f"{attrs['running']} running  {attrs['elapsed_s']:.1f}s{detail}")
 
 
 class ConsoleObserver:
@@ -263,56 +149,35 @@ class ConsoleObserver:
         self.stream = stream if stream is not None else sys.stderr
 
     def on_event(self, event: TelemetryEvent) -> None:
-        line = None
-        if isinstance(event, FaultEvent):
-            # A quarantine narrates (a genome just lost its fitness); a
-            # retried transient fault stays quiet.
-            if event.action == "quarantine":
-                line = f"[fault/{event.action}] attempt {event.attempt}: {event.error}"
-        elif isinstance(event, InvariantEvent):
-            line = f"[invariant/{event.layer}] {event.guard}: {event.error}"
-        elif isinstance(event, SupervisorEvent):
-            # Supervision actions always narrate: a killed worker or a
-            # salvaged checkpoint is exactly what an unattended-run log
-            # must explain.
-            task = f" {event.task}" if event.task else ""
-            detail = f": {event.detail}" if event.detail else ""
-            line = f"[supervisor/{event.action}]{task}{detail}"
-        elif isinstance(event, RegistryEvent):
-            # A record entering the library (or an index being rebuilt)
-            # is the registry's whole story; a dedup changes nothing.
-            if not event.deduped:
-                record = f" {event.record_id[:12]}" if event.record_id else ""
-                detail = f": {event.detail}" if event.detail else ""
-                line = f"[registry/{event.action}]{record}{detail}"
-        elif isinstance(event, ShardEvent):
-            line = self._shard_line(event)
-        elif isinstance(event, FleetEvent):
-            failed = f", {event.failed} failed" if event.failed else ""
-            detail = f"  ({event.detail})" if event.detail else ""
-            line = (f"[fleet] {event.done}/{event.total} shards done{failed}, "
-                    f"{event.running} running  {event.wall_s:.1f}s{detail}")
-        elif isinstance(event, SpanEvent):
-            line = self._span_line(event)
+        if not isinstance(event, SpanEvent):
+            return
+        line = self._span_line(event)
+        if event.status == "lost":
             # Lost spans always narrate: a worker died holding them.
-            if line is None and event.status == "lost":
-                line = (f"[span/{event.status}] {event.name}  "
-                        f"{event.wall_s * 1e3:.1f}ms")
+            lost = f"[span/lost] {event.name}  {event.wall_s * 1e3:.1f}ms"
+            line = lost if line is None else f"{lost}\n{line}"
         if line is not None:
             self.stream.write(line + "\n")
             self.stream.flush()
 
     @staticmethod
-    def _shard_line(event: ShardEvent) -> str | None:
-        if event.status == "failed":
-            return (f"[shard] {event.scenario}: FAILED (exit "
-                    f"{event.exit_code}) {event.error}")
-        if event.status == "ok":
-            return (f"[shard] {event.scenario}: {event.droop_v * 1e3:.1f} mV  "
-                    f"{event.evaluations} evals  {event.wall_s:.1f}s")
-        if event.status == "banked":
-            return f"[shard] {event.scenario}: banked ({event.droop_v * 1e3:.1f} mV)"
-        return None
+    def _shard_lines(event: SpanEvent) -> str | None:
+        """A ``fleet.shard`` span's ``[shard]`` and ``[fleet]`` lines."""
+        attrs = event.attrs
+        status = attrs.get("status")
+        lines = []
+        if status == "failed":
+            lines.append(f"[shard] {attrs['scenario']}: FAILED (exit "
+                         f"{attrs['exit_code']}) {attrs['error']}")
+        elif status == "ok":
+            lines.append(f"[shard] {attrs['scenario']}: {attrs['droop_v'] * 1e3:.1f} mV  "
+                         f"{attrs['evaluations']} evals  {event.wall_s:.1f}s")
+        elif status == "banked":
+            lines.append(f"[shard] {attrs['scenario']}: banked "
+                         f"({attrs['droop_v'] * 1e3:.1f} mV)")
+        if "done" in attrs:
+            lines.append(_fleet_line(attrs))
+        return "\n".join(lines) or None
 
     def _span_line(self, event: SpanEvent) -> str | None:
         """The progress line a finished span narrates, if it has one.
@@ -321,6 +186,34 @@ class ConsoleObserver:
         the line reads, so a span that raised stays quiet.
         """
         attrs = event.attrs
+        family, _, action = event.name.partition(".")
+        if family == "fault":
+            # A quarantine narrates (a genome just lost its fitness); a
+            # retried transient fault stays quiet.
+            if action == "quarantine":
+                return f"[fault/{action}] attempt {attrs['attempt']}: {attrs['error']}"
+            return None
+        if family == "invariant":
+            return f"[invariant/{attrs['layer']}] {attrs['guard']}: {attrs['error']}"
+        if family == "supervisor":
+            # Supervision actions always narrate: a killed worker or a
+            # salvaged checkpoint is exactly what an unattended-run log
+            # must explain.
+            task = f" {attrs['task']}" if attrs.get("task") else ""
+            detail = f": {attrs['detail']}" if attrs.get("detail") else ""
+            return f"[supervisor/{action}]{task}{detail}"
+        if family == "registry":
+            # A record entering the library (or an index being rebuilt)
+            # is the registry's whole story; a dedup changes nothing.
+            if event.status != "ok" or attrs.get("deduped"):
+                return None
+            record = f" {attrs['record_id'][:12]}" if attrs.get("record_id") else ""
+            detail = f": {attrs['detail']}" if attrs.get("detail") else ""
+            return f"[registry/{action}]{record}{detail}"
+        if event.name == "fleet.shard":
+            return self._shard_lines(event)
+        if event.name == "fleet.schedule":
+            return _fleet_line(attrs)
         if event.name == "ga.generation" and "best_fitness" in attrs:
             return (
                 f"[gen {attrs['generation']:3d}] "
@@ -449,9 +342,13 @@ class TelemetryCollector:
     ``span.wall_s.audit.<phase>``.  Some spans add their attribute facts:
     ``engine.evaluate_batch`` its ``size``/``hits``/``eval_wall_s`` (the
     ``engine.*`` counters), the ``qualify.*`` spans their axes and
-    verdicts, and the stage spans ``stage.cache_hits.<stage>``,
-    ``stage.fallbacks`` and ``stage.batched_solves``.  Collectors merge through the registry,
-    so per-worker or per-shard collectors fold together in any order.
+    verdicts, the stage spans ``stage.cache_hits.<stage>``,
+    ``stage.fallbacks`` and ``stage.batched_solves``.  The ``fault.*``,
+    ``invariant.*`` and ``supervisor.*`` spans count under their own
+    family names, ``fleet.shard`` counts ``shard.*`` by its ``status``,
+    and a completed ``registry.*`` span counts ``registry.*``.
+    Collectors merge through the registry, so per-worker or per-shard
+    collectors fold together in any order.
     """
 
     def __init__(self):
@@ -461,58 +358,60 @@ class TelemetryCollector:
         self.metrics = MetricsRegistry()
 
     def on_event(self, event: TelemetryEvent) -> None:
+        if not isinstance(event, SpanEvent):
+            return
         inc = self.metrics.inc
-        if isinstance(event, FaultEvent):
-            inc("fault.quarantines" if event.action == "quarantine"
-                else "fault.retries")
-            if event.timeout:
+        name, attrs = event.name, event.attrs
+        inc(f"span.count.{name}")
+        inc(f"span.wall_s.{name}", event.wall_s)
+        if event.status == "lost":
+            inc("span.lost")
+        family, _, action = name.partition(".")
+        if name == "engine.evaluate_batch" and "eval_wall_s" in attrs:
+            inc("engine.evaluations", attrs["size"])
+            inc("engine.cache_hits", attrs["hits"])
+            inc("engine.eval_wall_s", attrs["eval_wall_s"])
+        elif name == "qualify.axis" and "retention" in attrs:
+            inc("qualify.axes")
+        elif name == "qualify.stressmark" and "verdict" in attrs:
+            inc("qualify.wall_s", event.wall_s)
+            inc(f"qualify.verdict.{attrs['verdict']}")
+        elif family == "fault":
+            inc("fault.quarantines" if action == "quarantine" else "fault.retries")
+            if attrs.get("timeout"):
                 inc("fault.timeouts")
-        elif isinstance(event, InvariantEvent):
+        elif family == "invariant":
             inc("invariant.violations")
-            inc(f"invariant.guard.{event.layer}/{event.guard}")
-        elif isinstance(event, ShardEvent):
-            if event.status in ("ok", "failed"):
-                inc("shard.done" if event.status == "ok" else "shard.failed")
-                inc("shard.wall_s", event.wall_s)
-            elif event.status == "banked":
-                inc("shard.banked")
-        elif isinstance(event, SupervisorEvent):
-            if event.action == "shutdown":
-                inc(f"supervisor.shutdown.{event.detail or event.action}")
+            inc(f"invariant.guard.{attrs['layer']}/{attrs['guard']}")
+        elif family == "supervisor":
+            if action == "shutdown":
+                inc(f"supervisor.shutdown.{attrs.get('detail') or action}")
             else:
-                inc(f"supervisor.{event.action}")
-        elif isinstance(event, RegistryEvent):
-            inc("registry.wall_s", event.wall_s)
-            if event.action == "publish":
-                inc("registry.deduped" if event.deduped
-                    else "registry.published")
-            elif event.action == "verify":
+                inc(f"supervisor.{action}")
+        elif name == "fleet.shard":
+            status = attrs.get("status")
+            if status in ("ok", "failed"):
+                inc("shard.done" if status == "ok" else "shard.failed")
+                inc("shard.wall_s", event.wall_s)
+            elif status == "banked":
+                inc("shard.banked")
+        elif family == "registry" and event.status == "ok":
+            if action == "publish":
+                inc("registry.deduped" if attrs["deduped"] else "registry.published")
+                inc("registry.wall_s", event.wall_s)
+            elif action == "verify":
                 inc("registry.verified")
-            elif event.action == "salvage":
+                inc("registry.wall_s", event.wall_s)
+            elif action == "salvage":
                 inc("registry.salvaged")
-        elif isinstance(event, SpanEvent):
-            inc(f"span.count.{event.name}")
-            inc(f"span.wall_s.{event.name}", event.wall_s)
-            if event.status == "lost":
-                inc("span.lost")
-            attrs = event.attrs
-            if event.name == "engine.evaluate_batch" and "eval_wall_s" in attrs:
-                inc("engine.evaluations", attrs["size"])
-                inc("engine.cache_hits", attrs["hits"])
-                inc("engine.eval_wall_s", attrs["eval_wall_s"])
-            elif event.name == "qualify.axis" and "retention" in attrs:
-                inc("qualify.axes")
-            elif event.name == "qualify.stressmark" and "verdict" in attrs:
-                inc("qualify.wall_s", event.wall_s)
-                inc(f"qualify.verdict.{attrs['verdict']}")
-            stage = STAGE_SPANS.get(event.name)
-            if stage is not None:
-                if attrs.get("cache_hit"):
-                    inc(f"stage.cache_hits.{stage}")
-                if attrs.get("fallback"):
-                    inc("stage.fallbacks")
-                if attrs.get("batched"):
-                    inc("stage.batched_solves")
+        stage = STAGE_SPANS.get(name)
+        if stage is not None:
+            if attrs.get("cache_hit"):
+                inc(f"stage.cache_hits.{stage}")
+            if attrs.get("fallback"):
+                inc("stage.fallbacks")
+            if attrs.get("batched"):
+                inc("stage.batched_solves")
 
     # ------------------------------------------------------------------
     def merge(self, other: "TelemetryCollector") -> "TelemetryCollector":

@@ -27,6 +27,11 @@ A killed fleet (SIGKILL included) resumes with
 ``result.json``, half-run shards continue from their campaign
 checkpoint, and the rebuilt report is bit-identical to an uninterrupted
 run's.
+
+Under an installed tracer the fleet is one span tree: ``fleet.campaign``
+→ one ``fleet.shard`` per shard, opened at dispatch and closed with the
+shard's outcome and the fleet's progress counts → the shard's
+``audit.campaign``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from pathlib import Path
 
 from repro.core.atomicio import atomic_write_json, atomic_write_text
 from repro.core.faults import FaultPolicy
-from repro.core.telemetry import FleetEvent, ShardEvent, SupervisorEvent, event_from_dict
+from repro.core.telemetry import event_from_dict
 from repro.errors import (
     EXIT_CRASH,
     CampaignInterrupted,
@@ -55,7 +60,7 @@ from repro.fleet.shard import (
     load_result,
     run_shard,
 )
-from repro.obs.spans import current_tracer, emit, span
+from repro.obs.spans import NULL_SPAN, current_tracer, span
 from repro.supervision.executor import (
     DEFAULT_MAX_POOL_REBUILDS,
     SupervisedExecutor,
@@ -66,6 +71,17 @@ FLEET_FILE = "fleet.json"
 
 #: Bumped when the fleet meta layout changes incompatibly.
 FLEET_VERSION = 1
+
+
+def _outcome(result: ShardResult, status: str) -> dict:
+    """The ``fleet.shard`` attributes that describe a shard's result."""
+    return {
+        "status": status,
+        "droop_v": result.droop_v or 0.0,
+        "evaluations": result.evaluations or 0,
+        "exit_code": result.exit_code,
+        "error": result.error,
+    }
 
 
 def chain_schedule(scenarios) -> tuple:
@@ -239,9 +255,10 @@ class FleetOrchestrator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _spec(self, chain, index) -> ShardSpec:
+    def _spec(self, chain, index, shard) -> ShardSpec:
         """The shard spec for ``chain[index]``, seeded by banked
-        in-chain predecessors that completed OK."""
+        in-chain predecessors that completed OK; its campaign nests
+        under the *shard* span."""
         seed_dirs = []
         for predecessor in chain[:index]:
             directory = self.shard_dir(predecessor)
@@ -249,7 +266,6 @@ class FleetOrchestrator:
             if banked is not None and banked.ok:
                 seed_dirs.append(str(directory))
         scenario = chain[index]
-        tracer = current_tracer()
         return ShardSpec(
             scenario=scenario,
             shard_dir=str(self.shard_dir(scenario)),
@@ -258,29 +274,41 @@ class FleetOrchestrator:
             failure_voltage=self.failure_voltage,
             fault_policy=self.fault_policy,
             max_wall_clock_s=self.shard_max_wall_clock_s,
-            trace_context=None if tracer is None else tracer.context(),
+            trace_context=shard.context(),
         )
 
-    def _on_result(self, result: ShardResult, results: list, start: float, running: int) -> None:
+    @staticmethod
+    def _start_shard(scenario):
+        """Open *scenario*'s ``fleet.shard`` span (a no-op without a tracer)."""
+        tracer = current_tracer()
+        if tracer is None:
+            return NULL_SPAN
+        return tracer.start("fleet.shard", scenario=scenario.scenario_id)
+
+    def _progress(self, results: list, start: float, running: int) -> dict:
+        """The ``[fleet]`` status counts, as span attributes."""
+        return {
+            "total": len(self.scenarios),
+            "done": len(results),
+            "failed": len([r for r in results if not r.ok]),
+            "running": running,
+            "elapsed_s": time.perf_counter() - start,
+        }
+
+    def _on_result(
+        self,
+        result: ShardResult,
+        results: list,
+        start: float,
+        running: int,
+        shard,
+        span_status: str = "ok",
+    ) -> None:
         results.append(result)
         self._completed += 1
         self._emit_shard_spans(result)
-        emit(ShardEvent(
-            scenario=result.scenario_id,
-            status=result.status,
-            droop_v=result.droop_v or 0.0,
-            evaluations=result.evaluations or 0,
-            wall_s=result.timing.get("wall_s", 0.0),
-            error=result.error,
-            exit_code=result.exit_code,
-        ))
-        emit(FleetEvent(
-            total=len(self.scenarios),
-            done=len(results),
-            failed=len([r for r in results if not r.ok]),
-            running=running,
-            wall_s=time.perf_counter() - start,
-        ))
+        shard.set(**_outcome(result, result.status), **self._progress(results, start, running))
+        shard.close(span_status)
         if self.stop_after is not None and self._completed >= self.stop_after:
             raise KeyboardInterrupt(f"fleet stop_after={self.stop_after} reached")
         if (result.status == "interrupted" and "signal" in result.error
@@ -319,12 +347,9 @@ class FleetOrchestrator:
             if result is not None and result.ok:
                 banked[scenario.scenario_id] = result
                 results.append(result)
-                emit(ShardEvent(
-                    scenario=result.scenario_id,
-                    status="banked",
-                    droop_v=result.droop_v or 0.0,
-                    evaluations=result.evaluations or 0,
-                ))
+                span(
+                    "fleet.shard", scenario=result.scenario_id, **_outcome(result, "banked")
+                ).close()
         return banked
 
     def run(self) -> FleetReport:
@@ -358,14 +383,11 @@ class FleetOrchestrator:
         for chain in full_chains:
             chains.append([s for s in chain if s.scenario_id not in banked])
         pending = [chain_index for chain_index, chain in enumerate(chains) if chain]
-        emit(FleetEvent(
-            total=len(self.scenarios),
-            done=len(results),
-            failed=0,
-            running=0,
-            wall_s=0.0,
+        span(
+            "fleet.schedule",
+            **self._progress(results, start, running=0),
             detail=f"{len(pending)} chain(s), {self.workers} worker(s)",
-        ))
+        ).close()
         try:
             if pending:
                 if self.workers == 1 and self.shard_timeout_s is None:
@@ -388,12 +410,12 @@ class FleetOrchestrator:
         self.publish_results(report)
         return report
 
-    def _full_spec(self, chains, full_chains, chain_index, index) -> ShardSpec:
+    def _full_spec(self, chains, full_chains, chain_index, index, shard) -> ShardSpec:
         """Spec for ``chains[chain_index][index]`` with seeding resolved
         against the *full* chain (banked predecessors included)."""
         scenario = chains[chain_index][index]
         full_chain = full_chains[chain_index]
-        return self._spec(full_chain, full_chain.index(scenario))
+        return self._spec(full_chain, full_chain.index(scenario), shard)
 
     def _check_stop(self) -> str | None:
         if self.stop_check is None:
@@ -406,10 +428,11 @@ class FleetOrchestrator:
                 reason = self._check_stop()
                 if reason:
                     raise CampaignInterrupted(reason)
-                spec = self._full_spec(chains, full_chains, chain_index, index)
-                emit(ShardEvent(scenario=spec.scenario.scenario_id, status="started"))
-                result = self.task_fn(spec)
-                self._on_result(result, results, start, running=0)
+                shard = self._start_shard(chain[index])
+                with shard:
+                    spec = self._full_spec(chains, full_chains, chain_index, index, shard)
+                    result = self.task_fn(spec)
+                    self._on_result(result, results, start, running=0, shard=shard)
 
     def _failed_shard(self, scenario, error: str) -> ShardResult:
         """A synthesized result for a shard the supervisor gave up on.
@@ -418,11 +441,6 @@ class FleetOrchestrator:
         retries the shard from its campaign checkpoint, so a transient
         host problem does not permanently poison the scenario.
         """
-        tracer = current_tracer()
-        if tracer is not None:
-            # The shard died holding its span buffer: close the loss
-            # explicitly so the trace tree has no dangling branch.
-            tracer.lost("fleet.shard", scenario=scenario.scenario_id, error=error)
         return ShardResult(
             scenario=scenario.axes(),
             scenario_id=scenario.scenario_id,
@@ -453,6 +471,7 @@ class FleetOrchestrator:
             if chain:
                 queue.append((chain_index, 0))
         positions: dict = {}  # in-flight scenario_id -> (chain_index, index)
+        shards: dict = {}  # in-flight scenario_id -> its open fleet.shard span
         hang_strikes: dict = {}
         stop_reason: str | None = None
         executor = SupervisedExecutor(
@@ -466,19 +485,25 @@ class FleetOrchestrator:
             if not queue:
                 return None
             chain_index, index = queue.popleft()
-            spec = self._full_spec(chains, full_chains, chain_index, index)
-            scenario_id = spec.scenario.scenario_id
+            scenario = chains[chain_index][index]
+            scenario_id = scenario.scenario_id
+            # A retried shard keeps the span of its first dispatch.
+            if scenario_id not in shards:
+                shards[scenario_id] = self._start_shard(scenario)
+            spec = self._full_spec(chains, full_chains, chain_index, index, shards[scenario_id])
             positions[scenario_id] = (chain_index, index)
-            emit(ShardEvent(scenario=scenario_id, status="started"))
             return scenario_id, spec
 
         def on_result(scenario_id: str, result) -> None:
             chain_index, index = positions.pop(scenario_id)
+            span_status = "ok"
             if isinstance(result, SupervisorFault):
                 if result.kind == "interrupted":
                     # Killed by the drain's SIGTERM; the shard resumes
                     # from its checkpoint on the next fleet run.
-                    emit(ShardEvent(scenario=scenario_id, status="interrupted"))
+                    shard = shards.pop(scenario_id)
+                    shard.set(status="interrupted")
+                    shard.close()
                     return
                 if result.kind == "hang":
                     strikes = hang_strikes.get(scenario_id, 0) + 1
@@ -491,16 +516,26 @@ class FleetOrchestrator:
                     error = f"WorkerHangError: {result.error}; gave up after {strikes} attempt(s)"
                     # The supervisor gives up on crashes itself; hangs it
                     # hands back for the retry decision made here.
-                    emit(SupervisorEvent(action="give-up", task=scenario_id, detail=error))
+                    span("supervisor.give-up", task=scenario_id, detail=error).close()
                 else:
                     error = f"WorkerCrashError: {result.error}"
                 result = self._failed_shard(chains[chain_index][index], error)
+                # The shard's worker died holding its spans: close the loss
+                # explicitly so the trace tree has no dangling branch.
+                span_status = "lost"
             # Next-in-chain first, so its seeding sees whatever the
             # finished shard banked.  Nothing new is queued once a drain
             # has begun.
             if not self._stopping and index + 1 < len(chains[chain_index]):
                 queue.append((chain_index, index + 1))
-            self._on_result(result, results, start, running=len(positions))
+            self._on_result(
+                result,
+                results,
+                start,
+                running=len(positions),
+                shard=shards.pop(scenario_id),
+                span_status=span_status,
+            )
 
         def drain_on_stop() -> None:
             nonlocal stop_reason
@@ -511,7 +546,12 @@ class FleetOrchestrator:
             self._stopping = True
             queue.clear()
             detail = f"{reason}: draining {len(positions)} shard(s)"
-            emit(SupervisorEvent(action="shutdown", detail=detail))
+            span(
+                "supervisor.shutdown",
+                task="",
+                detail=detail,
+                elapsed_s=time.perf_counter() - start,
+            ).close()
             # Ask running shards to stop at their next generation
             # boundary.  Idle workers die on SIGTERM and break the pool;
             # the supervisor then reports the shards still in flight as

@@ -16,14 +16,17 @@ with a ``crash_report.json`` written next to the shard checkpoint for the
 unexpected ones — so one bad scenario cannot take the fleet down.
 
 Every shard runs under its own :class:`~repro.obs.spans.Tracer`, joined
-to the orchestrator's trace when the spec carries a
+to the orchestrator's trace — its ``audit.campaign`` nests under the
+orchestrator's ``fleet.shard`` span — when the spec carries a
 :class:`~repro.obs.spans.TraceContext` (fresh otherwise).  Its sink is
 the shard's :class:`~repro.core.telemetry.TelemetryCollector`, whose
-``engine.*`` counters give the result's evaluation timings; a joined
-shard adds a :class:`~repro.obs.spans.SpanBuffer` whose spans ship home
-in the returned result's ``timing["spans"]`` — in a pool worker and
-in-process alike.  The buffer keeps every span (the scenario's budget
-bounds them), and ``result.json`` banks the result without them: a
+``engine.*`` counters give the result's evaluation timings.  A joined
+shard's spans reach the orchestrator one of two ways.  In-process (a
+serial fleet) each span goes to the caller's sinks as it closes, so
+``--progress`` narrates the shard as it runs.  In a pool worker a
+:class:`~repro.obs.spans.SpanBuffer` keeps every span (the scenario's
+budget bounds them) and ships them home in the returned result's
+``timing["spans"]``; ``result.json`` banks the result without them: a
 resumed fleet runs under a new trace, where they would be orphans.
 
 Each shard also installs its own worker-side
@@ -56,7 +59,7 @@ from repro.core.faults import FaultPolicy
 from repro.core.ga import GaConfig
 from repro.core.platform import MeasurementPlatform
 from repro.core.qualify import QualificationCheckpoint, QualifyConfig
-from repro.core.telemetry import TelemetryCollector, event_to_dict
+from repro.core.telemetry import SpanEvent, TelemetryCollector, event_to_dict
 from repro.errors import (
     EXIT_CONFIG,
     EXIT_CRASH,
@@ -73,7 +76,7 @@ from repro.errors import (
 )
 from repro.experiments.setup import program_failure_voltage
 from repro.fleet.matrix import Scenario
-from repro.obs.spans import SpanBuffer, TraceContext, Tracer, adopt, tracing
+from repro.obs.spans import SpanBuffer, TraceContext, Tracer, adopt, current_tracer, tracing
 from repro.pdn.elements import PdnParameters
 from repro.supervision.shutdown import ShutdownCoordinator
 from repro.uarch.config import ChipConfig
@@ -82,6 +85,7 @@ RESULT_FILE = "result.json"
 
 #: Bumped when the shard result layout changes incompatibly.
 RESULT_VERSION = 1
+
 
 def scenario_config(scenario: Scenario) -> tuple[ChipConfig, PdnParameters]:
     """The chip and PDN configuration a scenario's axes describe.
@@ -136,9 +140,10 @@ class ShardSpec:
     """Per-shard wall-clock budget; overrun stops the campaign gracefully
     at the next generation boundary (status ``interrupted``, exit 75)."""
     trace_context: TraceContext | None = None
-    """Coordinates of the orchestrator's ``fleet.campaign`` span; when set
-    the shard's tracer joins that trace and its spans ship back in the
-    returned ``ShardResult.timing["spans"]``."""
+    """Coordinates of the orchestrator's ``fleet.shard`` span; when set the
+    shard's tracer joins that trace, and its spans reach the caller's sinks
+    as they close (in-process) or ship back in the returned
+    ``ShardResult.timing["spans"]`` (in a pool worker)."""
 
 
 @dataclass(frozen=True)
@@ -242,15 +247,20 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     scenario = spec.scenario
     start = time.perf_counter()
     collector = TelemetryCollector()
-    buffer = SpanBuffer(cap=None)
-    if spec.trace_context is None:
+    buffer = None
+    context = spec.trace_context
+    caller = current_tracer()
+    if context is None:
         tracer = Tracer((collector,))
+    elif context.pid == os.getpid() and caller is not None:
+        # In-process: a forked pool worker inherits the caller's tracer
+        # too, but not the caller's pid.
+        tracer = adopt(context, (collector, _SpansTo(caller)))
     else:
-        tracer = adopt(spec.trace_context, (collector, buffer))
+        buffer = SpanBuffer(cap=None)
+        tracer = adopt(context, (collector, buffer))
     try:
-        with tracing(tracer), tracer.span(
-            "fleet.shard", scenario=scenario.scenario_id, pid=os.getpid()
-        ):
+        with tracing(tracer):
             result = _run_campaign(spec, collector)
     except BaseException as error:  # noqa: BLE001 — classified, not hidden
         exit_code = classify_failure(error)
@@ -269,9 +279,24 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     return dataclasses.replace(result, timing=_with_spans(result.timing, buffer))
 
 
-def _with_spans(timing: dict, buffer: SpanBuffer) -> dict:
+class _SpansTo:
+    """A sink handing each closed span to *tracer*'s sinks as it closes.
+
+    Only spans go, as from a pool shard's buffer: the shard's
+    ``platform-stats`` row stays out of the fleet trace.
+    """
+
+    def __init__(self, tracer: Tracer):
+        self.tracer = tracer
+
+    def on_event(self, event) -> None:
+        if isinstance(event, SpanEvent):
+            self.tracer.emit(event)
+
+
+def _with_spans(timing: dict, buffer: SpanBuffer | None) -> dict:
     """*timing* plus the buffered spans, if any."""
-    if not buffer.records:
+    if buffer is None or not buffer.records:
         return timing
     return {**timing, "spans": [event_to_dict(event) for event in buffer.records]}
 

@@ -245,25 +245,3 @@ class MetricsRegistry:
         for name, blob in payload.get("histograms", {}).items():
             registry._histograms[name] = Histogram.from_dict(blob)
         return registry
-
-    # -- presentation --------------------------------------------------
-    def summary_rows(self) -> list:
-        """(name, rendered-value) rows for the telemetry report tables."""
-        rows = []
-        for name, value in sorted(self._counters.items()):
-            if isinstance(value, float):
-                rows.append((name, f"{value:.4g}"))
-            else:
-                rows.append((name, value))
-        for name, value in sorted(self._gauges.items()):
-            rows.append((f"{name} (gauge)", f"{value:.4g}"))
-        for name, histogram in sorted(self._histograms.items()):
-            if not histogram.count:
-                continue
-            rows.append((
-                name,
-                f"n={histogram.count} p50={histogram.quantile(0.50):.4g} "
-                f"p95={histogram.quantile(0.95):.4g} "
-                f"p99={histogram.quantile(0.99):.4g}",
-            ))
-        return rows

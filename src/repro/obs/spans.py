@@ -10,10 +10,13 @@ against the parent process), structured attributes, and trace/span ids.
 The instrumentation points call the module-level :func:`span` helper,
 which is a shared no-op singleton until a :class:`Tracer` is installed —
 un-instrumented runs (the default for library users and most tests) pay
-one dict lookup per call site and allocate nothing.  Point-in-time
-events (a fault, a supervisor action, a registry publish) take the same
-path through :func:`emit`: the installed tracer is the only way any
-telemetry event reaches a sink, and with none installed it goes nowhere.
+one dict lookup per call site and allocate nothing.  A point occurrence
+(a fault, an invariant violation, a supervisor action) is a span that
+closes as it opens, ``span(name, **attrs).close()``, so it reaches the
+sinks at the moment it happens.  The installed tracer is the only way
+any telemetry event reaches a sink (:func:`emit` hands over the one
+non-span row, the platform counters), and with none installed an event
+goes nowhere.
 
 Cross-process propagation: a :class:`TraceContext` (trace id + parent
 span id) is pickled to the worker; the worker builds its own buffering
@@ -23,9 +26,10 @@ result (``EvalOutcome.spans``, ``ShardResult.timing["spans"]``).  The
 parent re-emits them to its own tracer's sinks, so the JSONL trace is a
 single file with one coherent tree — even when the pool was SIGKILLed
 and respawned in between.  A worker that dies holding open spans never
-ships them; the supervisor-side caller closes the loss explicitly with
-:meth:`Tracer.lost`, so the tree shows a ``status="lost"`` leaf instead
-of a dangling parent id.
+ships them; the supervisor-side caller closes the loss explicitly (the
+engine with :meth:`Tracer.lost`, the fleet by closing the shard's span
+as ``"lost"``), so the tree shows a ``status="lost"`` leaf instead of a
+dangling parent id.
 
 Span and trace ids are ``uuid4`` hex prefixes: they exist only inside
 telemetry output and must never leak into deterministic artifacts
@@ -52,6 +56,10 @@ class TraceContext:
 
     trace_id: str
     parent_id: str = ""
+    pid: int = 0
+    """The process that issued the context.  A task that finds itself in
+    that same process runs in-process, not in a (forked) worker that
+    merely inherited the issuer's installed tracer."""
 
 
 class _NullSpan:
@@ -70,6 +78,9 @@ class _NullSpan:
 
     def close(self, status: str = "ok") -> None:
         pass
+
+    def context(self) -> None:
+        return None
 
 
 NULL_SPAN = _NullSpan()
@@ -97,6 +108,10 @@ class Span:
             return
         self._closed = True
         self.tracer._close(self, status)
+
+    def context(self) -> TraceContext:
+        """The coordinates a subprocess needs to nest under this span."""
+        return TraceContext(self.tracer.trace_id, self.span_id, os.getpid())
 
     def __enter__(self) -> "Span":
         return self
@@ -158,7 +173,7 @@ class Tracer:
     # -- propagation ----------------------------------------------------
     def context(self) -> TraceContext:
         """The coordinates a subprocess needs to nest under the caller."""
-        return TraceContext(trace_id=self.trace_id, parent_id=self._parent_id())
+        return TraceContext(self.trace_id, self._parent_id(), os.getpid())
 
     def emit(self, event) -> None:
         """Hand any telemetry event to every sink (a span recorded in
@@ -213,23 +228,20 @@ class SpanBuffer:
     """A sink that keeps SpanEvents for shipping across a pickle.
 
     ``cap`` bounds the buffer so a pathological worker cannot inflate its
-    result payload without bound; overflow drops the *oldest* records and
-    counts them, which the analyzer reports as truncation.  ``None``
-    keeps every span, for callers whose span count the work itself
-    bounds (a fleet shard's budget).
+    result payload without bound; overflow drops the *oldest* records.
+    ``None`` keeps every span, for callers whose span count the work
+    itself bounds (a fleet shard's budget).
     """
 
     def __init__(self, cap: int | None = 512):
         self.cap = cap
         self.records: list = []
-        self.dropped = 0
 
     def on_event(self, event) -> None:
         if isinstance(event, SpanEvent):
             self.records.append(event)
             if self.cap is not None and len(self.records) > self.cap:
                 self.records.pop(0)
-                self.dropped += 1
 
 
 # ----------------------------------------------------------------------

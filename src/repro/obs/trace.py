@@ -223,8 +223,6 @@ def analyze_trace(path) -> TraceAnalysis:
     # stage.cache_hits.* counters), so a trace reduces as the run did.
     collector = TelemetryCollector()
     platform_counters: dict = {}
-    faults: dict = {}
-    supervisor_actions: dict = {}
     for row in events:
         kind = row.get("kind", "?")
         events_by_kind[kind] = events_by_kind.get(kind, 0) + 1
@@ -238,12 +236,6 @@ def analyze_trace(path) -> TraceAnalysis:
             for key, value in (row.get("counters") or {}).items():
                 if isinstance(value, (int, float)):
                     platform_counters[key] = value
-        elif kind == "fault":
-            action = row.get("action", "?")
-            faults[action] = faults.get(action, 0) + 1
-        elif kind == "supervisor":
-            action = row.get("action", "?")
-            supervisor_actions[action] = supervisor_actions.get(action, 0) + 1
     tree = build_tree(span_rows)
     span_counts: dict = {}
     span_wall_s: dict = {}
@@ -271,8 +263,8 @@ def analyze_trace(path) -> TraceAnalysis:
         eval_wall_s=float(counter("engine.eval_wall_s")),
         stage_cache_hits=collector.metrics.family("stage.cache_hits"),
         platform_counters=platform_counters,
-        faults=faults,
-        supervisor_actions=supervisor_actions,
+        faults=collector.metrics.family("span.count.fault"),
+        supervisor_actions=collector.metrics.family("span.count.supervisor"),
         trace_wall_s=trace_wall,
     )
 

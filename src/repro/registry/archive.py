@@ -23,9 +23,8 @@ import time
 from dataclasses import dataclass
 
 from repro import package_version
-from repro.core.telemetry import RegistryEvent
 from repro.errors import RegistryError
-from repro.obs.spans import emit
+from repro.obs.spans import span
 from repro.registry.record import RegistryRecord
 from repro.registry.store import StressmarkRegistry
 
@@ -53,79 +52,75 @@ def export_records(registry: StressmarkRegistry, out_path, *,
 
     Returns the exported record ids.
     """
-    if refs:
-        records = [registry.get(ref) for ref in refs]
-    else:
-        records = registry.records()
-    if not records:
-        raise RegistryError(f"nothing to export from {registry.directory}")
-    manifest = {
-        "archive_version": ARCHIVE_VERSION,
-        "exported_at": time.time(),
-        "repro_version": package_version(),
-        "records": [record.record_id for record in records],
-    }
-    try:
-        with tarfile.open(out_path, "w:gz") as tar:
-            _add_member(tar, f"{_ROOT}/manifest.json", manifest)
-            for record in records:
-                _add_member(
-                    tar,
-                    f"{_ROOT}/objects/{record.record_id}.json",
-                    record.to_payload(),
-                )
-    except OSError as error:
-        raise RegistryError(
-            f"cannot write archive {out_path}: {error}"
-        ) from error
-    emit(RegistryEvent(
-        action="export", path=str(out_path),
-        detail=f"{len(records)} record(s)",
-    ))
+    with span("registry.export", path=str(out_path)) as exporting:
+        if refs:
+            records = [registry.get(ref) for ref in refs]
+        else:
+            records = registry.records()
+        if not records:
+            raise RegistryError(f"nothing to export from {registry.directory}")
+        manifest = {
+            "archive_version": ARCHIVE_VERSION,
+            "exported_at": time.time(),
+            "repro_version": package_version(),
+            "records": [record.record_id for record in records],
+        }
+        try:
+            with tarfile.open(out_path, "w:gz") as tar:
+                _add_member(tar, f"{_ROOT}/manifest.json", manifest)
+                for record in records:
+                    _add_member(
+                        tar,
+                        f"{_ROOT}/objects/{record.record_id}.json",
+                        record.to_payload(),
+                    )
+        except OSError as error:
+            raise RegistryError(
+                f"cannot write archive {out_path}: {error}"
+            ) from error
+        exporting.set(detail=f"{len(records)} record(s)")
     return [record.record_id for record in records]
 
 
 def import_archive(registry: StressmarkRegistry, archive_path) -> ImportOutcome:
     """Publish every record of *archive_path* into *registry*."""
-    try:
-        tar = tarfile.open(archive_path, "r:*")
-    except (OSError, tarfile.TarError) as error:
-        raise RegistryError(
-            f"cannot read archive {archive_path}: {error}"
-        ) from error
-    imported: list[str] = []
-    deduped: list[str] = []
-    with tar:
-        manifest = _read_manifest(tar, archive_path)
-        expected = manifest.get("records")
-        members = [
-            member for member in tar.getmembers()
-            if member.isfile()
-            and member.name.startswith(f"{_ROOT}/objects/")
-            and member.name.endswith(".json")
-        ]
-        if not members:
-            raise RegistryError(f"archive {archive_path} holds no records")
-        for member in members:
-            payload = _read_json(tar, member, archive_path)
-            record = RegistryRecord.from_payload(
-                payload, source=f"{archive_path}:{member.name}"
-            )
-            outcome = registry.publish(record)
-            (deduped if outcome.deduped else imported).append(outcome.record_id)
-        if isinstance(expected, list):
-            seen = set(imported) | set(deduped)
-            missing = [rid for rid in expected if rid not in seen]
-            if missing:
-                raise RegistryError(
-                    f"archive {archive_path} manifest lists "
-                    f"{len(missing)} record(s) absent from the archive "
-                    f"(first: {str(missing[0])[:12]}…)"
+    with span("registry.import", path=str(archive_path)) as importing:
+        try:
+            tar = tarfile.open(archive_path, "r:*")
+        except (OSError, tarfile.TarError) as error:
+            raise RegistryError(
+                f"cannot read archive {archive_path}: {error}"
+            ) from error
+        imported: list[str] = []
+        deduped: list[str] = []
+        with tar:
+            manifest = _read_manifest(tar, archive_path)
+            expected = manifest.get("records")
+            members = [
+                member for member in tar.getmembers()
+                if member.isfile()
+                and member.name.startswith(f"{_ROOT}/objects/")
+                and member.name.endswith(".json")
+            ]
+            if not members:
+                raise RegistryError(f"archive {archive_path} holds no records")
+            for member in members:
+                payload = _read_json(tar, member, archive_path)
+                record = RegistryRecord.from_payload(
+                    payload, source=f"{archive_path}:{member.name}"
                 )
-    emit(RegistryEvent(
-        action="import", path=str(archive_path),
-        detail=f"{len(imported)} new, {len(deduped)} already present",
-    ))
+                outcome = registry.publish(record)
+                (deduped if outcome.deduped else imported).append(outcome.record_id)
+            if isinstance(expected, list):
+                seen = set(imported) | set(deduped)
+                missing = [rid for rid in expected if rid not in seen]
+                if missing:
+                    raise RegistryError(
+                        f"archive {archive_path} manifest lists "
+                        f"{len(missing)} record(s) absent from the archive "
+                        f"(first: {str(missing[0])[:12]}…)"
+                    )
+        importing.set(detail=f"{len(imported)} new, {len(deduped)} already present")
     return ImportOutcome(imported=tuple(imported), deduped=tuple(deduped))
 
 

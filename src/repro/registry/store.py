@@ -35,9 +35,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from repro.core.atomicio import append_jsonl, atomic_write_bytes, atomic_write_json
-from repro.core.telemetry import RegistryEvent
-from repro.obs.spans import emit
 from repro.errors import CheckpointError, RegistryError
+from repro.obs.spans import span
 from repro.registry.record import RegistryRecord
 
 REGISTRY_FILE = "registry.json"
@@ -150,30 +149,24 @@ class StressmarkRegistry:
         start = time.perf_counter()
         record_id = record.record_id
         path = self.object_path(record_id)
-        try:
-            with self._locked():
-                deduped = path.exists()
-                if not deduped:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    atomic_write_json(path, record.to_payload())
-                    append_jsonl(self.index_path, record.index_entry())
-        except CheckpointError as error:
-            raise RegistryError(str(error)) from error
-        outcome = PublishOutcome(
+        with span("registry.publish", record_id=record_id, path=str(path),
+                  detail=f"{record.kind}/{record.name}") as publish:
+            try:
+                with self._locked():
+                    deduped = path.exists()
+                    if not deduped:
+                        path.parent.mkdir(parents=True, exist_ok=True)
+                        atomic_write_json(path, record.to_payload())
+                        append_jsonl(self.index_path, record.index_entry())
+            except CheckpointError as error:
+                raise RegistryError(str(error)) from error
+            publish.set(deduped=deduped)
+        return PublishOutcome(
             record_id=record_id,
             path=str(path),
             deduped=deduped,
             wall_s=time.perf_counter() - start,
         )
-        emit(RegistryEvent(
-            action="publish",
-            record_id=record_id,
-            path=str(path),
-            detail=f"{record.kind}/{record.name}",
-            deduped=deduped,
-            wall_s=outcome.wall_s,
-        ))
-        return outcome
 
     # ------------------------------------------------------------------
     # Read side
@@ -232,28 +225,27 @@ class StressmarkRegistry:
 
     def rebuild_index(self) -> list[dict]:
         """Regenerate ``index.jsonl`` from the object store, atomically."""
-        entries = []
-        unreadable = 0
-        for record_id in self._object_ids():
+        with span("registry.salvage", path=str(self.index_path)) as salvage:
+            entries = []
+            unreadable = 0
+            for record_id in self._object_ids():
+                try:
+                    record = self._load_object(record_id)
+                except RegistryError:
+                    unreadable += 1
+                    continue
+                entries.append(record.index_entry())
+            entries.sort(key=lambda e: (e.get("created_at", 0.0), e["record_id"]))
+            lines = "".join(json.dumps(entry) + "\n" for entry in entries)
             try:
-                record = self._load_object(record_id)
-            except RegistryError:
-                unreadable += 1
-                continue
-            entries.append(record.index_entry())
-        entries.sort(key=lambda e: (e.get("created_at", 0.0), e["record_id"]))
-        lines = "".join(json.dumps(entry) + "\n" for entry in entries)
-        try:
-            with self._locked():
-                atomic_write_bytes(self.index_path, lines.encode("utf-8"))
-        except CheckpointError as error:
-            raise RegistryError(str(error)) from error
-        detail = f"index rebuilt from {len(entries)} object(s)"
-        if unreadable:
-            detail += f" ({unreadable} unreadable object(s) skipped)"
-        emit(RegistryEvent(
-            action="salvage", path=str(self.index_path), detail=detail,
-        ))
+                with self._locked():
+                    atomic_write_bytes(self.index_path, lines.encode("utf-8"))
+            except CheckpointError as error:
+                raise RegistryError(str(error)) from error
+            detail = f"index rebuilt from {len(entries)} object(s)"
+            if unreadable:
+                detail += f" ({unreadable} unreadable object(s) skipped)"
+            salvage.set(detail=detail)
         return entries
 
     def _load_object(self, record_id: str) -> RegistryRecord:

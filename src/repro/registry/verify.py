@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 from repro.core.codegen import DEFAULT_ITERATIONS, genome_to_kernel
 from repro.core.genome import GenomeSpace, StressmarkGenome
-from repro.core.telemetry import RegistryEvent
 from repro.errors import RegistryError
-from repro.obs.spans import emit
 from repro.isa.kernels import ThreadProgram
 from repro.isa.opcodes import default_table
+from repro.obs.spans import span
 from repro.registry.provenance import build_platform, hash_platform
 from repro.registry.record import RegistryRecord
 
@@ -125,22 +124,18 @@ def rebuild_program(record: RegistryRecord, platform) -> ThreadProgram:
 def verify_record(record: RegistryRecord) -> VerifyResult:
     """Re-run *record* through the measurement pipeline and compare."""
     start = time.perf_counter()
-    platform = build_platform(record.platform)
-    rebuilt_hash = hash_platform(platform)
-    program = rebuild_program(record, platform)
-    measurement = platform.measure_program(program, record.threads)
-    result = VerifyResult(
-        record_id=record.record_id,
-        recorded_droop_v=float(record.droop_v),
-        measured_droop_v=float(measurement.max_droop_v),
-        platform_hash_recorded=record.platform_hash,
-        platform_hash_rebuilt=rebuilt_hash,
-        wall_s=time.perf_counter() - start,
-    )
-    emit(RegistryEvent(
-        action="verify",
-        record_id=record.record_id,
-        detail=result.describe(),
-        wall_s=result.wall_s,
-    ))
+    with span("registry.verify", record_id=record.record_id) as verify:
+        platform = build_platform(record.platform)
+        rebuilt_hash = hash_platform(platform)
+        program = rebuild_program(record, platform)
+        measurement = platform.measure_program(program, record.threads)
+        result = VerifyResult(
+            record_id=record.record_id,
+            recorded_droop_v=float(record.droop_v),
+            measured_droop_v=float(measurement.max_droop_v),
+            platform_hash_recorded=record.platform_hash,
+            platform_hash_rebuilt=rebuilt_hash,
+            wall_s=time.perf_counter() - start,
+        )
+        verify.set(detail=result.describe())
     return result

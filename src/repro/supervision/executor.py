@@ -35,9 +35,9 @@ crash recovery
 :meth:`SupervisedExecutor.stream` is the one event loop: tasks are pulled
 from the caller as worker slots free up and each result is handed back as
 it lands.  :meth:`~SupervisedExecutor.map` is a thin ordered wrapper over
-it.  Everything the supervisor does is narrated through
-:class:`~repro.core.telemetry.SupervisorEvent` so operators can see hangs,
-crashes, respawns, and requeues in the run summary.
+it.  Everything the supervisor does is narrated as a ``supervisor.<action>``
+span that closes as it opens, so operators can see hangs, crashes,
+respawns, and requeues live and in the run summary.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.core.telemetry import SupervisorEvent
-from repro.obs.spans import emit
 from repro.errors import ConfigurationError, QuarantineExhaustedError, ReproError
+from repro.obs.spans import span
 
 __all__ = [
     "SupervisedExecutor",
@@ -213,9 +212,7 @@ class SupervisedExecutor:
         kill_pool_processes(self._pool)
         self._pool = None
         self.rebuilds += 1
-        emit(SupervisorEvent(
-            action="respawn", detail=reason, respawns=self.rebuilds
-        ))
+        span("supervisor.respawn", task="", detail=reason, respawns=self.rebuilds).close()
         if self.rebuilds > self.max_pool_rebuilds:
             raise SupervisionExhaustedError(
                 f"pool rebuilt {self.rebuilds} times (budget "
@@ -382,16 +379,16 @@ class SupervisedExecutor:
         innocents = self._condemn(inflight, on_result)
         for flight in hung_flights:
             wall = now - flight.started_at
-            emit(SupervisorEvent(
-                action="hang-kill",
+            span(
+                "supervisor.hang-kill",
                 task=flight.key,
                 detail=(
                     f"no result after {wall:.1f}s "
                     f"(deadline {self.task_timeout_s:.1f}s); "
                     f"worker pool killed"
                 ),
-                wall_s=wall,
-            ))
+                elapsed_s=wall,
+            ).close()
             on_result(flight.key, SupervisorFault(
                 kind="hang",
                 error=(
@@ -408,11 +405,11 @@ class SupervisedExecutor:
             wall_spent[flight.key] = (
                 wall_spent.get(flight.key, 0.0) + (now - flight.submitted_at)
             )
-            emit(SupervisorEvent(
-                action="requeue",
+            span(
+                "supervisor.requeue",
                 task=flight.key,
                 detail="in flight during a hang-kill; rescheduled",
-            ))
+            ).close()
         (suspects if suspects else requeued).extendleft(reversed(innocents))
         self._kill_and_respawn(
             reason=f"{len(hung)} task(s) past the {self.task_timeout_s:.1f}s "
@@ -431,14 +428,14 @@ class SupervisedExecutor:
                 on_result(flight.key, _INTERRUPTED)
             return
         now = time.monotonic()
-        emit(SupervisorEvent(
-            action="crash",
+        span(
+            "supervisor.crash",
             task=condemned[0].key if len(condemned) == 1 else "",
             detail=(
                 f"worker process died; {len(condemned)} in-flight "
                 f"task(s) condemned"
             ),
-        ))
+        ).close()
         for flight in condemned:
             wall_spent[flight.key] = (
                 wall_spent.get(flight.key, 0.0) + (now - flight.submitted_at)
@@ -450,14 +447,14 @@ class SupervisedExecutor:
             key = flight.key
             strikes[key] = strikes.get(key, 0) + 1
             if strikes[key] > self.crash_retries:
-                emit(SupervisorEvent(
-                    action="give-up",
+                span(
+                    "supervisor.give-up",
                     task=key,
                     detail=(
                         f"crashed the worker {strikes[key]} time(s); "
                         f"handing to the caller"
                     ),
-                ))
+                ).close()
                 on_result(key, SupervisorFault(
                     kind="crash",
                     error=(
@@ -473,10 +470,10 @@ class SupervisedExecutor:
             # The culprit is unidentifiable: isolate everyone.  No strikes
             # for the innocent — they are simply replayed one at a time.
             for flight in condemned:
-                emit(SupervisorEvent(
-                    action="requeue",
+                span(
+                    "supervisor.requeue",
                     task=flight.key,
                     detail="condemned by a worker crash; isolating",
-                ))
+                ).close()
             suspects.extend(condemned)
         self._kill_and_respawn(reason="worker process crash")

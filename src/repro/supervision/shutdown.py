@@ -28,9 +28,8 @@ import signal
 import time
 from collections.abc import Sequence
 
-from repro.core.telemetry import SupervisorEvent
 from repro.errors import ConfigurationError
-from repro.obs.spans import current_tracer, emit
+from repro.obs.spans import current_tracer, span
 
 __all__ = ["ShutdownCoordinator"]
 
@@ -135,11 +134,12 @@ class ShutdownCoordinator:
             )
         if self._reason is not None and not self._announced:
             self._announced = True
-            emit(SupervisorEvent(
-                action="shutdown",
+            span(
+                "supervisor.shutdown",
+                task="",
                 detail=self._reason,
-                wall_s=self.elapsed_s(),
-            ))
+                elapsed_s=self.elapsed_s(),
+            ).close()
             # A drain is the last chance buffered sinks get before the
             # campaign unwinds: a SIGTERM that lands mid-generation must not
             # lose that generation's telemetry to an in-memory JSONL buffer.

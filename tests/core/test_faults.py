@@ -19,7 +19,7 @@ from repro.core.faults import (
 from repro.core.ga import GaConfig
 from repro.core.genome import GenomeSpace
 from repro.core.platform import MeasurementPlatform
-from repro.core.telemetry import FaultEvent, TelemetryCollector
+from repro.core.telemetry import SpanEvent, TelemetryCollector
 from repro.errors import (
     CampaignInterrupted,
     ConfigurationError,
@@ -53,6 +53,10 @@ class RecordingObserver:
 
     def on_event(self, event):
         self.events.append(event)
+
+    def faults(self):
+        return [e for e in self.events
+                if isinstance(e, SpanEvent) and e.name.startswith("fault.")]
 
 
 class FlakyFitness:
@@ -187,9 +191,9 @@ class TestEngineFaultHandling:
             assert engine.evaluate_many(batch) == [3.0] * 3
         assert engine.retries == 3
         assert engine.quarantines == 0
-        faults = [e for e in observer.events if isinstance(e, FaultEvent)]
+        faults = observer.faults()
         assert len(faults) == 3
-        assert all(e.action == "retry" for e in faults)
+        assert all(e.name == "fault.retry" for e in faults)
 
     def test_exhausted_genome_is_quarantined_with_penalty(self):
         observer = RecordingObserver()
@@ -204,9 +208,8 @@ class TestEngineFaultHandling:
             assert engine.evaluate_many([genome]) == [-0.5]
         assert engine.quarantines == 1
         assert genome in engine.quarantined
-        actions = [e.action for e in observer.events
-                   if isinstance(e, FaultEvent)]
-        assert actions == ["retry", "quarantine"]
+        actions = [e.name for e in observer.faults()]
+        assert actions == ["fault.retry", "fault.quarantine"]
         # Quarantined fitness is cached: no re-measurement next generation.
         assert engine.evaluate_many([genome]) == [-0.5]
         assert engine.cache_hits == 1
@@ -360,7 +363,7 @@ class TestRetryingMeasurements:
                 measurement = guarded.measure_program(program, 2)
                 assert measurement.max_droop_v > 0
         assert backend.counts.exceptions > 0
-        retries = [e for e in observer.events if isinstance(e, FaultEvent)]
+        retries = observer.faults()
         assert len(retries) == backend.counts.exceptions
 
     def test_exhaustion_reraises(self):

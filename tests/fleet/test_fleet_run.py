@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core.faults import FaultInjectingBackend, FaultInjectionConfig, FaultPolicy
 from repro.core.platform import MeasurementPlatform
+from repro.core.telemetry import JsonlObserver
 from repro.errors import (
     EXIT_CRASH,
     EXIT_FAILURE,
@@ -23,6 +24,7 @@ from repro.fleet.orchestrator import FleetOrchestrator
 from repro.fleet.report import REPORT_FILE, REPORT_MD_FILE
 from repro.fleet.shard import load_result
 from repro.obs.spans import SpanBuffer, Tracer, tracing
+from repro.obs.trace import analyze_trace
 
 #: One chain of three same-platform shards (cache seeding active) — small
 #: enough for CI, large enough that a kill can land mid-fleet.
@@ -136,6 +138,81 @@ class TestShardTelemetry:
         batches = [e.attrs for e in spans if e.name == "engine.evaluate_batch"]
         assert sum(attrs["size"] for attrs in batches) == banked.evaluations
         assert "spans" not in banked.timing  # shipped home, not banked
+
+
+class TestFleetTrace:
+    """A fleet is one span tree: fleet.campaign -> one fleet.shard per
+    shard -> that shard's audit.campaign, whatever the worker count."""
+
+    TWO_SHARDS = ScenarioMatrix(chip=("bulldozer",), threads=(2,),
+                                budget=("4x2",), seed=(1, 2))
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        """JSONL traces of the fleet at 1 and 2 workers, and of a resume."""
+        root = tmp_path_factory.mktemp("fleet-trace")
+        paths = {}
+        for workers in (1, 2):
+            paths[workers] = root / f"w{workers}.jsonl"
+            with JsonlObserver(paths[workers]) as jsonl, tracing(Tracer([jsonl])):
+                FleetOrchestrator(self.TWO_SHARDS, root / f"fleet{workers}",
+                                  workers=workers).run()
+        paths["resume"] = root / "resume.jsonl"
+        with JsonlObserver(paths["resume"]) as jsonl, tracing(Tracer([jsonl])):
+            FleetOrchestrator.resume(root / "fleet1").run()
+        return {key: analyze_trace(path) for key, path in paths.items()}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_rooted_tree_with_a_shard_span_per_shard(self, traces, workers):
+        tree = traces[workers].tree
+        assert len(tree.roots) == 1
+        assert (tree.lost, tree.orphans) == (0, 0)
+        shards = [node for node in tree.walk() if node.name == "fleet.shard"]
+        scenarios = [scenario.scenario_id for scenario in self.TWO_SHARDS.expand()]
+        assert sorted(node.attrs["scenario"] for node in shards) == scenarios
+        for node in shards:
+            assert node.attrs["status"] == "ok"
+            (campaign,) = [c for c in node.children if c.name == "audit.campaign"]
+            assert campaign.attrs["campaign"] == node.attrs["scenario"]
+
+    def test_span_names_do_not_depend_on_worker_count(self, traces):
+        assert traces[1].span_counts == traces[2].span_counts
+
+    def test_resume_traces_one_banked_shard_span_per_shard(self, traces):
+        tree = traces["resume"].tree
+        shards = [node for node in tree.walk() if node.name == "fleet.shard"]
+        assert len(shards) == len(self.TWO_SHARDS)
+        assert all(node.attrs["status"] == "banked" for node in shards)
+        assert traces["resume"].span_counts.get("audit.campaign", 0) == 0
+
+    def test_a_serial_shard_narrates_as_it_runs(self, tmp_path):
+        """Each in-process shard's generations reach the sinks before its
+        run_shard returns, and nothing arrives twice."""
+        from repro.fleet.shard import run_shard
+
+        events = []
+
+        class Recorder:
+            def on_event(self, event):
+                events.append(event)
+
+        def task(spec):
+            result = run_shard(spec)
+            events.append(("returned", spec.scenario.scenario_id))
+            return result
+
+        with tracing(Tracer([Recorder()])):
+            FleetOrchestrator(self.TWO_SHARDS, tmp_path / "fleet", workers=1,
+                              task_fn=task).run()
+        markers = [i for i, event in enumerate(events) if isinstance(event, tuple)]
+        assert len(markers) == 2
+        generations = [i for i, event in enumerate(events)
+                       if not isinstance(event, tuple) and event.name == "ga.generation"]
+        before = [0, *markers[:-1]]
+        for start, marker in zip(before, markers):
+            assert any(start < i < marker for i in generations)
+        span_ids = [event.span_id for event in events if not isinstance(event, tuple)]
+        assert len(span_ids) == len(set(span_ids))
 
 
 class TestResumeBitIdentity:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.core.telemetry import ShardEvent, SupervisorEvent
+from repro.core.telemetry import SpanEvent
 from repro.errors import (
     EXIT_INTERRUPTED,
     CampaignInterrupted,
@@ -95,13 +95,16 @@ class Recorder:
     def on_event(self, event):
         self.events.append(event)
 
-    def supervisor(self, action):
+    def spans(self, name):
         return [e for e in self.events
-                if isinstance(e, SupervisorEvent) and e.action == action]
+                if isinstance(e, SpanEvent) and e.name == name]
+
+    def supervisor(self, action):
+        return self.spans(f"supervisor.{action}")
 
     def shard_statuses(self):
-        return [(e.scenario, e.status) for e in self.events
-                if isinstance(e, ShardEvent)]
+        return [(e.attrs["scenario"], e.attrs["status"])
+                for e in self.spans("fleet.shard")]
 
 
 def traced_run(orchestrator, *sinks):
@@ -235,8 +238,9 @@ class TestGracefulStop:
 
         class CountOk:
             def on_event(self, event):
-                if isinstance(event, ShardEvent) and event.status == "ok":
-                    finished.append(event.scenario)
+                if (isinstance(event, SpanEvent) and event.name == "fleet.shard"
+                        and event.attrs["status"] == "ok"):
+                    finished.append(event.attrs["scenario"])
 
         orchestrator = FleetOrchestrator(
             two_chain_matrix(),
@@ -250,6 +254,5 @@ class TestGracefulStop:
         assert "test budget" in excinfo.value.reason
         assert (tmp_path / "fleet" / "report.json").exists()
         statuses = recorder.shard_statuses()
-        assert ("shutdown" in [e.action for e in recorder.events
-                               if isinstance(e, SupervisorEvent)])
+        assert recorder.supervisor("shutdown")
         assert any(status == "interrupted" for _, status in statuses)

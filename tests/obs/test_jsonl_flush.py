@@ -12,13 +12,16 @@ import json
 
 import pytest
 
-from repro.core.telemetry import FaultEvent, JsonlObserver
+from repro.core.telemetry import JsonlObserver, SpanEvent
 from repro.obs.spans import Tracer, tracing
 from repro.supervision.shutdown import ShutdownCoordinator
 
 
 def _event(i):
-    return FaultEvent(genome=f"g{i}", error="boom", attempt=i + 1, action="retry")
+    return SpanEvent(name="fault.retry", trace_id="t", span_id=f"s{i}", parent_id="",
+                     t0_s=0.0, wall_s=0.0,
+                     attrs={"genome": f"g{i}", "error": "boom", "attempt": i + 1,
+                            "timeout": False})
 
 
 def _events(n):
@@ -74,7 +77,7 @@ class TestBuffering:
         observer.on_event(_events(1)[0])
         observer.close()
         assert not stream.closed
-        assert json.loads(stream.getvalue())["kind"] == "fault"
+        assert json.loads(stream.getvalue())["name"] == "fault.retry"
 
 
 class TestShutdownDrainFlush:
@@ -92,10 +95,10 @@ class TestShutdownDrainFlush:
         with tracing(Tracer([observer])):
             assert coordinator.stop_requested() == "signal SIGTERM"
         rows = _lines(path)
-        # The 7 buffered events plus the shutdown SupervisorEvent itself.
+        # The 7 buffered events plus the supervisor.shutdown span itself.
         assert len(rows) == 8
-        assert rows[-1]["kind"] == "supervisor"
-        assert rows[-1]["action"] == "shutdown"
+        assert rows[-1]["name"] == "supervisor.shutdown"
+        assert rows[-1]["attrs"]["detail"] == "signal SIGTERM"
 
     def test_coordinator_exit_flushes_late_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -113,7 +116,7 @@ class TestShutdownDrainFlush:
         with tracing(Tracer([observer])):
             reason = coordinator.stop_requested()
         assert reason is not None and "wall-clock" in reason
-        assert any(row["kind"] == "fault" for row in _lines(path))
+        assert any(row["name"] == "fault.retry" for row in _lines(path))
 
     def test_observers_without_flush_are_tolerated(self):
         class Plain:

@@ -12,7 +12,7 @@ import pytest
 from repro.core.audit import AuditConfig, AuditRunner, StressmarkMode
 from repro.core.engine import make_executor
 from repro.core.ga import GaConfig
-from repro.core.telemetry import SupervisorEvent, TelemetryCollector
+from repro.core.telemetry import SpanEvent, TelemetryCollector
 from repro.experiments.setup import bulldozer_testbed
 from repro.obs.spans import Tracer, tracing
 
@@ -126,7 +126,9 @@ class TestCollectorMerge:
     def _shutdown(self, reason):
         collector = self._collector()
         if reason:
-            collector.on_event(SupervisorEvent(action="shutdown", detail=reason))
+            collector.on_event(SpanEvent(
+                name="supervisor.shutdown", trace_id="t", span_id="s", parent_id="",
+                t0_s=0.0, wall_s=0.0, attrs={"task": "", "detail": reason}))
         return collector
 
     def test_merge_sums_scalars_and_dicts(self):

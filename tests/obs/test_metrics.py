@@ -161,19 +161,6 @@ class TestMetricsRegistry:
             json.loads(json.dumps(registry.to_dict())))
         assert clone.to_dict() == registry.to_dict()
 
-    def test_summary_rows_render_quantiles(self):
-        registry = MetricsRegistry()
-        registry.inc("evals", 3)
-        registry.gauge_set("peak", 2.5)
-        for value in (0.01, 0.02, 0.03):
-            registry.observe("wall_s", value)
-        rendered = dict(registry.summary_rows())
-        assert rendered["evals"] == 3
-        assert rendered["peak (gauge)"] == "2.5"
-        assert "p50=" in rendered["wall_s"]
-        assert "p95=" in rendered["wall_s"]
-        assert "p99=" in rendered["wall_s"]
-
     @settings(max_examples=40, deadline=None)
     @given(seeds=st.lists(st.integers(min_value=0, max_value=99),
                           min_size=1, max_size=6),

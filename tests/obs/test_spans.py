@@ -157,11 +157,18 @@ class TestLostSpans:
 
 
 class TestPropagation:
-    def test_context_carries_trace_id_and_top_of_stack(self):
+    def test_context_carries_trace_id_top_of_stack_and_issuer(self):
         tracer, _ = tracer_and_sink()
-        assert tracer.context() == TraceContext(tracer.trace_id, "")
+        pid = os.getpid()
+        assert tracer.context() == TraceContext(tracer.trace_id, "", pid)
         with tracer.span("outer") as outer:
-            assert tracer.context() == TraceContext(tracer.trace_id, outer.span_id)
+            assert tracer.context() == TraceContext(tracer.trace_id, outer.span_id, pid)
+
+    def test_a_detached_span_names_itself_as_parent(self):
+        tracer, _ = tracer_and_sink()
+        shard = tracer.start("fleet.shard")
+        assert shard.context() == TraceContext(tracer.trace_id, shard.span_id, os.getpid())
+        assert NULL_SPAN.context() is None
 
     def test_context_is_picklable(self):
         import pickle
@@ -190,7 +197,7 @@ class TestPropagation:
         measure = next(n for n in tree.walk() if n.name == "pipeline.measure")
         assert measure in worker.children
 
-    def test_span_buffer_caps_and_counts_drops(self):
+    def test_span_buffer_caps_by_dropping_the_oldest(self):
         buffer = SpanBuffer(cap=3)
         tracer = Tracer([buffer], clock=FakeClock())
         names = [f"s{i}" for i in range(5)]
@@ -198,14 +205,12 @@ class TestPropagation:
             with tracer.span(name):
                 pass
         assert [e.name for e in buffer.records] == names[2:]
-        assert buffer.dropped == 2
 
     def test_span_buffer_ignores_non_span_events(self):
-        from repro.core.telemetry import FaultEvent
+        from repro.core.telemetry import PlatformMetricsEvent
 
         buffer = SpanBuffer()
-        buffer.on_event(FaultEvent(genome="g", error="boom", attempt=1,
-                                   action="retry"))
+        buffer.on_event(PlatformMetricsEvent(counters={"pipeline.measurements": 1}))
         assert buffer.records == []
 
 

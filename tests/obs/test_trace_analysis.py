@@ -5,10 +5,8 @@ import json
 import pytest
 
 from repro.core.telemetry import (
-    FaultEvent,
     PlatformMetricsEvent,
     SpanEvent,
-    SupervisorEvent,
     event_to_dict,
 )
 from repro.errors import ConfigurationError
@@ -174,9 +172,11 @@ def _campaign_events():
         _span("worker.eval", "w2", "b1", status="lost", t0=5.0, wall=1.0,
               pid=102),
         _span("stranded.child", "s1", "never-flushed", t0=6.0, wall=0.5),
-        FaultEvent(genome="g-c", error="hang", attempt=1, action="quarantine",
-                   timeout=True),
-        SupervisorEvent(action="hang-kill", task="g-c"),
+        _span("supervisor.hang-kill", "h1", "b1", t0=5.9, wall=0.0,
+              attrs={"task": "g-c", "detail": "", "elapsed_s": 1.0}),
+        _span("fault.quarantine", "f1", "b1", t0=6.0, wall=0.0,
+              attrs={"genome": "g-c", "error": "hang", "attempt": 1,
+                     "timeout": True}),
         PlatformMetricsEvent(counters={"pipeline.measurements": 2,
                                        "uarch.module_cache_hits": 1,
                                        "note": "ignored-non-numeric"}),
@@ -190,12 +190,10 @@ class TestAnalyzeTrace:
             _write_trace(tmp_path / "trace.jsonl", _campaign_events()))
 
     def test_event_and_span_rollups(self, analysis):
-        assert analysis.events_by_kind == {
-            "fault": 1, "platform-stats": 1, "span": 8, "supervisor": 1,
-        }
+        assert analysis.events_by_kind == {"platform-stats": 1, "span": 10}
         assert analysis.total_events == len(_campaign_events())
         assert analysis.span_counts["worker.eval"] == 2
-        assert analysis.total_spans == 8
+        assert analysis.total_spans == 10
 
     def test_tree_is_single_rooted_with_losses_accounted(self, analysis):
         assert len(analysis.tree.roots) == 1
@@ -226,7 +224,7 @@ class TestAnalyzeTrace:
 
     def test_deterministic_counts_cover_the_gating_surface(self, analysis):
         counts = analysis.deterministic_counts()
-        assert counts["events.span"] == 8
+        assert counts["events.span"] == 10
         assert counts["spans.worker.eval"] == 2
         assert counts["evaluations"] == 2
         assert counts["cache_hits"] == 1
@@ -237,7 +235,7 @@ class TestAnalyzeTrace:
 
     def test_metrics_projection(self, analysis):
         registry = analysis.metrics()
-        assert registry.counter("events.span") == 8
+        assert registry.counter("events.span") == 10
         assert registry.counter("spans.worker.eval") == 2
         assert registry.counter("spans.lost") == 2
         assert registry.counter("engine.evaluations") == 2
@@ -275,7 +273,7 @@ class TestRendering:
 
     def test_spanless_trace_renders_without_tables(self, tmp_path):
         path = _write_trace(tmp_path / "flat.jsonl", [
-            FaultEvent(genome="g0", error="boom", attempt=1, action="retry"),
+            PlatformMetricsEvent(counters={"pipeline.measurements": 1}),
         ])
         analysis = analyze_trace(path)
         text = render_analysis(analysis)

@@ -57,8 +57,8 @@ class TestPublish:
         registry = StressmarkRegistry(tmp_path / "reg")
         with tracing(Tracer([recorder])):
             registry.publish(synthetic_record(1))
-        kinds = [event["kind"] for event in recorder.tail()]
-        assert "registry" in kinds
+        names = [event["name"] for event in recorder.tail()]
+        assert "registry.publish" in names
 
     def test_enospc_publish_raises_registry_error(self, registry):
         with inject_write_failures(count=1, errno=errno.ENOSPC):
@@ -160,7 +160,8 @@ class TestSalvage:
         truncate_file(registry.index_path, keep_bytes=5)
         with tracing(Tracer([recorder])):
             registry.entries()
-        details = [event.get("detail", "") for event in recorder.tail()]
+        details = [event["attrs"].get("detail", "") for event in recorder.tail()
+                   if event["name"] == "registry.salvage"]
         assert any("rebuilt" in detail for detail in details)
 
     def test_hand_edited_object_fails_hash_check(self, registry):
